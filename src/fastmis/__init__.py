@@ -19,7 +19,7 @@ from .local_search import (
     sample_force_count,
 )
 from .metrics import ConvergenceLog, average_logs, max_speedup, time_to_size
-from .oracle import enumerate_swaps, exact_mis, exact_mis_bitmask
+from .oracle import enumerate_swaps, exact_mis
 from .pipelines import ker_mis, online_mis, plain_arw
 from .reductions import (
     ALL_RULES,
@@ -49,7 +49,6 @@ __all__ = [
     "cut_snapshot_top",
     "enumerate_swaps",
     "exact_mis",
-    "exact_mis_bitmask",
     "find_one_two_swap",
     "greedy_initial",
     "ker_mis",

@@ -22,7 +22,7 @@ from .graph import Graph, GraphFormatError, load
 from .local_search import Budget, PerturbationParams
 from .metrics import ConvergenceLog, max_speedup, read_log, time_to_size, write_log
 from .pipelines import ker_mis, online_mis, plain_arw
-from .reductions import ALL_RULES, KERMIS_RULES, RULE_ORDER, kernelize, lift_solution
+from .reductions import ALL_RULES, KERMIS_RULES, KernelResult, kernelize, lift_solution
 
 
 class ParseError(ValueError):
@@ -216,6 +216,13 @@ def verify(g_original: Graph, solution: set[int]) -> VerifyReport:
 # commands
 
 
+def _print_kernel_stats(result: KernelResult) -> None:
+    """One ``rule,count`` line per enabled rule, then the kernel size."""
+    for name, count in result.per_rule_counts.items():
+        print(f"{name},{count}")
+    print(f"kernel_n={result.reduced_n} kernel_m={result.reduced_m}")
+
+
 def _cmd_solve(args) -> int:
     g = read_graph(args.graph, args.format, args.n)
     if args.algo != "kernel" and args.time_limit is None and args.iterations is None:
@@ -232,9 +239,7 @@ def _cmd_solve(args) -> int:
         result = kernelize(work, rules=ALL_RULES)
         solution = lift_solution(result.stack, set())
         log.append(time.perf_counter() - start, len(solution))
-        for name in RULE_ORDER:
-            print(f"{name},{result.per_rule_counts.get(name, 0)}")
-        print(f"kernel_n={result.reduced_n} kernel_m={result.reduced_m}")
+        _print_kernel_stats(result)
     else:
         budget = Budget(seconds=args.time_limit, iterations=args.iterations)
         if args.algo == "onlinemis":
@@ -294,11 +299,7 @@ def _cmd_quality_time(args) -> int:
 def _cmd_kernel_stats(args) -> int:
     g = read_graph(args.graph, args.format, args.n)
     rules = ALL_RULES if args.rules == "all" else KERMIS_RULES
-    result = kernelize(g, rules=rules)
-    for name in RULE_ORDER:
-        if name in result.per_rule_counts:
-            print(f"{name},{result.per_rule_counts[name]}")
-    print(f"kernel_n={result.reduced_n} kernel_m={result.reduced_m}")
+    _print_kernel_stats(kernelize(g, rules=rules))
     return 0
 
 

@@ -372,7 +372,9 @@ def run_iterated(g: Graph, sol: Solution, budget: Budget, log: ConvergenceLog,
 
     Returns the best solution seen as a vertex-id set and appends one
     (elapsed, size) point per strict improvement, with ``size_offset``
-    added to reported sizes so callers can log lifted totals.
+    added to reported sizes so callers can log lifted totals. Stops early
+    once every live vertex is in the solution: nothing can enter it any
+    more, so the result cannot change.
     """
     if sol.graph is not g:
         raise ValueError("solution was built for a different graph")
@@ -391,6 +393,8 @@ def run_iterated(g: Graph, sol: Solution, budget: Budget, log: ConvergenceLog,
     iteration = 0
     while not budget.expired(iteration, time.perf_counter() - start):
         if budget.target_size is not None and best_size + size_offset >= budget.target_size:
+            break
+        if len(sol.non_solution) == 0:
             break
         iteration += 1
         perturb(sol, params, rng)

@@ -1,9 +1,8 @@
 """Exact maximum-independent-set solvers for small instances.
 
 These are the ground truth for every randomized correctness test in the
-suite: a branch-and-bound solver with in-recursion simplification, a
-bitmask solver that double-checks the branch-and-bound one, and a brute
-enumerator of (1,2)-swaps.
+suite: a branch-and-bound solver with in-recursion simplification and a
+brute enumerator of (1,2)-swaps.
 """
 
 from __future__ import annotations
@@ -101,33 +100,6 @@ def exact_mis(g: Graph, node_limit: int = 40) -> tuple[int, set[int]]:
 
     solve()
     return best_size, best_set
-
-
-def exact_mis_bitmask(g: Graph, node_limit: int = 20) -> int:
-    """Second-level oracle: optimal size by memoized bitmask recursion."""
-    vertices = g.alive_vertices()
-    k = len(vertices)
-    if k > node_limit:
-        raise GraphTooLargeError(
-            f"{k} alive vertices exceed the bitmask node limit {node_limit}"
-        )
-    index = {v: i for i, v in enumerate(vertices)}
-    closed = [1 << i for i in range(k)]
-    for v in vertices:
-        for u in g.neighbors_live(v):
-            closed[index[v]] |= 1 << index[u]
-    memo: dict[int, int] = {0: 0}
-
-    def best(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        low = (mask & -mask).bit_length() - 1
-        res = max(best(mask & ~(1 << low)), 1 + best(mask & ~closed[low]))
-        memo[mask] = res
-        return res
-
-    return best((1 << k) - 1)
 
 
 def enumerate_swaps(g: Graph, sol) -> list[tuple[int, int, int]]:

@@ -3,14 +3,15 @@
 Each rule shrinks the graph while preserving the optimal independent-set
 size, pushing enough bookkeeping onto a :class:`ReductionStack` that any
 independent set of the reduced graph can be mapped back to one of the
-input graph (:func:`lift_solution`). :func:`kernelize` runs an enabled
+input graph (:func:`lift_solution`). Every rule has the signature
+``(g, stack) -> int``: the stack carries the undo log and the packing
+constraints, which are always tracked. :func:`kernelize` runs an enabled
 subset of rules to a fixpoint, cheapest rules first.
 
 Rule catalogue
 --------------
 pendant      degree-1 vertex taken into the solution, neighbor dropped.
-isolated     simplicial vertex (closed neighborhood a clique) taken;
-             optionally restricted to degree <= 2 for the online variant.
+isolated     simplicial vertex (closed neighborhood a clique) taken.
 fold         degree-2 vertex with non-adjacent neighbors contracted into
              one fresh vertex; adds +1 to the final solution either way.
 lp           half-integral relaxation solved through maximum matching on
@@ -58,11 +59,6 @@ class IncludeVertex:
 
 
 @dataclass(frozen=True)
-class ExcludeVertex:
-    v: int
-
-
-@dataclass(frozen=True)
 class Fold:
     merged: int   # fresh vertex standing in for {left, center, right}
     left: int
@@ -93,19 +89,18 @@ class ReductionStack:
 
     ``offset`` is the guaranteed size bonus of lifting: every lifted
     solution has exactly ``len(kernel_solution) + offset`` vertices.
+    ``constraints`` holds the packing constraints the rules maintain.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.entries: list = []
         self.offset = 0
+        self.constraints = ConstraintStore()
 
     def push_include(self, v: int) -> None:
         self.entries.append(IncludeVertex(v))
         self.offset += 1
-
-    def push_exclude(self, v: int) -> None:
-        self.entries.append(ExcludeVertex(v))
 
     def push_fold(self, merged: int, left: int, center: int, right: int) -> None:
         self.entries.append(Fold(merged, left, center, right))
@@ -125,7 +120,6 @@ class ReductionStack:
 
 @dataclass
 class KernelResult:
-    kernel: Graph
     stack: ReductionStack
     per_rule_counts: dict[str, int]
     reduced_n: int
@@ -206,17 +200,15 @@ class ConstraintStore:
 # shared removal helpers
 
 
-def _include_vertex(g: Graph, stack: ReductionStack, v: int,
-                    store: ConstraintStore | None) -> None:
+def _include_vertex(g: Graph, stack: ReductionStack, v: int) -> None:
     """Commit ``v`` to the solution and drop its closed neighborhood."""
+    store = stack.constraints
     stack.push_include(v)
-    if store is not None:
-        store.note_include(v)
+    store.note_include(v)
     nbrs = g.neighbors_live(v)
     g.remove_vertex(v)
     for u in nbrs:
-        if store is not None:
-            store.note_exclude(u)
+        store.note_exclude(u)
         g.remove_vertex(u)
 
 
@@ -224,8 +216,7 @@ def _include_vertex(g: Graph, stack: ReductionStack, v: int,
 # rules
 
 
-def reduce_pendant(g: Graph, stack: ReductionStack,
-                   constraints: ConstraintStore | None = None) -> int:
+def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
     """Take every degree-1 vertex into the solution, to a fixpoint."""
     queue = [v for v in g.alive_vertices() if g.live_degree[v] == 1]
     count = 0
@@ -235,7 +226,7 @@ def reduce_pendant(g: Graph, stack: ReductionStack,
             continue
         u = g.neighbors_live(v)[0]
         second_ring = [x for x in g.neighbors_live(u) if x != v]
-        _include_vertex(g, stack, v, constraints)
+        _include_vertex(g, stack, v)
         count += 1
         for x in second_ring:
             if g.alive[x] and g.live_degree[x] == 1:
@@ -243,42 +234,26 @@ def reduce_pendant(g: Graph, stack: ReductionStack,
     return count
 
 
-def reduce_isolated(g: Graph, stack: ReductionStack,
-                    max_degree: int | None = None,
-                    constraints: ConstraintStore | None = None) -> int:
-    """Take simplicial vertices (closed neighborhood a clique).
-
-    ``max_degree`` restricts the rule to degrees {0, 1, 2}, the cheap
-    online form; None enables it at any degree.
-    """
-    if max_degree not in (None, 0, 1, 2):
-        raise ValueError("max_degree must be one of None, 0, 1, 2")
-    queue = [
-        v for v in g.alive_vertices()
-        if max_degree is None or g.live_degree[v] <= max_degree
-    ]
+def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
+    """Take simplicial vertices (closed neighborhood a clique)."""
+    queue = g.alive_vertices()
     count = 0
     while queue:
         v = queue.pop()
-        if not g.alive[v]:
-            continue
-        if max_degree is not None and g.live_degree[v] > max_degree:
-            continue
-        if not g.is_simplicial(v):
+        if not g.alive[v] or not g.is_simplicial(v):
             continue
         ring = set()
         for u in g.neighbors_live(v):
             ring.update(g.neighbors_live(u))
-        _include_vertex(g, stack, v, constraints)
+        _include_vertex(g, stack, v)
         count += 1
         for x in ring:
-            if g.alive[x] and (max_degree is None or g.live_degree[x] <= max_degree):
+            if g.alive[x]:
                 queue.append(x)
     return count
 
 
-def reduce_fold(g: Graph, stack: ReductionStack,
-                constraints: ConstraintStore | None = None) -> int:
+def reduce_fold(g: Graph, stack: ReductionStack) -> int:
     """Contract degree-2 vertices with non-adjacent neighbors."""
     queue = [v for v in g.alive_vertices() if g.live_degree[v] == 2]
     count = 0
@@ -292,8 +267,7 @@ def reduce_fold(g: Graph, stack: ReductionStack,
         affected = set(g.neighbors_live(u)) | set(g.neighbors_live(w))
         merged = g.contract_fold(v, u, w)
         stack.push_fold(merged, u, v, w)
-        if constraints is not None:
-            constraints.note_opaque((u, v, w))
+        stack.constraints.note_opaque((u, v, w))
         count += 1
         if g.live_degree[merged] == 2:
             queue.append(merged)
@@ -303,18 +277,15 @@ def reduce_fold(g: Graph, stack: ReductionStack,
     return count
 
 
-def reduce_unconfined(g: Graph, stack: ReductionStack,
-                      constraints: ConstraintStore | None = None) -> int:
+def reduce_unconfined(g: Graph, stack: ReductionStack) -> int:
     """Exclude every vertex the confinement loop proves avoidable."""
     count = 0
     for v in g.alive_vertices():
         if not g.alive[v]:
             continue
         if _is_unconfined(g, v):
-            stack.push_exclude(v)
-            if constraints is not None:
-                constraints.add_neighbor_constraint(g.neighbors_live(v))
-                constraints.note_exclude(v)
+            stack.constraints.add_neighbor_constraint(g.neighbors_live(v))
+            stack.constraints.note_exclude(v)
             g.remove_vertex(v)
             count += 1
     return count
@@ -348,8 +319,7 @@ def _is_unconfined(g: Graph, v: int) -> bool:
         closed.update(g.neighbors_live(w))
 
 
-def reduce_twin(g: Graph, stack: ReductionStack,
-                constraints: ConstraintStore | None = None) -> int:
+def reduce_twin(g: Graph, stack: ReductionStack) -> int:
     """Resolve pairs of degree-3 vertices with identical neighborhoods."""
     count = 0
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -367,15 +337,14 @@ def reduce_twin(g: Graph, stack: ReductionStack,
                     continue
                 if g.live_degree[v] != 3 or tuple(g.neighbors_live(v)) != signature:
                     continue
-                _apply_twin(g, stack, u, v, signature, constraints)
+                _apply_twin(g, stack, u, v, signature)
                 count += 1
                 break
     return count
 
 
 def _apply_twin(g: Graph, stack: ReductionStack, u: int, v: int,
-                shared: tuple[int, ...],
-                constraints: ConstraintStore | None) -> None:
+                shared: tuple[int, ...]) -> None:
     has_inner_edge = any(
         g.has_live_edge(a, b)
         for i, a in enumerate(shared)
@@ -384,17 +353,8 @@ def _apply_twin(g: Graph, stack: ReductionStack, u: int, v: int,
     if has_inner_edge:
         # at most one shared neighbor fits in any solution, so the pair
         # beats every alternative: take both twins
-        stack.push_include(u)
-        stack.push_include(v)
-        if constraints is not None:
-            constraints.note_include(u)
-            constraints.note_include(v)
-        g.remove_vertex(u)
-        g.remove_vertex(v)
-        for x in shared:
-            if constraints is not None:
-                constraints.note_exclude(x)
-            g.remove_vertex(x)
+        _include_vertex(g, stack, u)
+        _include_vertex(g, stack, v)
         return
     # independent shared neighborhood: the gadget stands for "all three
     # shared neighbors go in"; its neighbors are their outside contacts
@@ -404,8 +364,7 @@ def _apply_twin(g: Graph, stack: ReductionStack, u: int, v: int,
     two_ring.discard(u)
     two_ring.discard(v)
     two_ring.difference_update(shared)
-    if constraints is not None:
-        constraints.note_opaque((u, v, *shared))
+    stack.constraints.note_opaque((u, v, *shared))
     g.remove_vertex(u)
     g.remove_vertex(v)
     for x in shared:
@@ -414,14 +373,12 @@ def _apply_twin(g: Graph, stack: ReductionStack, u: int, v: int,
     stack.push_twin_gadget(gadget, u, v, shared)
 
 
-def reduce_alternative(g: Graph, stack: ReductionStack,
-                       constraints: ConstraintStore | None = None) -> int:
+def reduce_alternative(g: Graph, stack: ReductionStack) -> int:
     """Apply funnel and chordless-4-cycle replacements."""
-    return _apply_funnels(g, stack, constraints) + _apply_four_cycles(g, stack, constraints)
+    return _apply_funnels(g, stack) + _apply_four_cycles(g, stack)
 
 
-def _apply_funnels(g: Graph, stack: ReductionStack,
-                   constraints: ConstraintStore | None) -> int:
+def _apply_funnels(g: Graph, stack: ReductionStack) -> int:
     count = 0
     for v in g.alive_vertices():
         if not g.alive[v] or g.live_degree[v] == 0:
@@ -432,13 +389,11 @@ def _apply_funnels(g: Graph, stack: ReductionStack,
         common = sorted(set(g.neighbors_live(u)) & set(g.neighbors_live(v)))
         a_out = [x for x in g.neighbors_live(u) if x != v and x not in common]
         b_out = [x for x in g.neighbors_live(v) if x != u and x not in common]
-        if constraints is not None:
-            constraints.note_opaque((u, v))
+        stack.constraints.note_opaque((u, v))
         g.remove_vertex(u)
         g.remove_vertex(v)
         for x in common:
-            if constraints is not None:
-                constraints.note_exclude(x)
+            stack.constraints.note_exclude(x)
             g.remove_vertex(x)
         crosses = []
         for a in a_out:
@@ -486,21 +441,18 @@ def _funnel_partner(g: Graph, v: int) -> int | None:
     return None
 
 
-def _apply_four_cycles(g: Graph, stack: ReductionStack,
-                       constraints: ConstraintStore | None) -> int:
+def _apply_four_cycles(g: Graph, stack: ReductionStack) -> int:
     # both cycle pairs must keep at most 2 outside neighbors, so every
     # participant has degree 3 or 4
     count = 0
     for a1 in g.alive_vertices():
         if not g.alive[a1] or g.live_degree[a1] not in (3, 4):
             continue
-        fired = _four_cycle_at(g, stack, a1, constraints)
-        count += fired
+        count += _four_cycle_at(g, stack, a1)
     return count
 
 
-def _four_cycle_at(g: Graph, stack: ReductionStack, a1: int,
-                   constraints: ConstraintStore | None) -> int:
+def _four_cycle_at(g: Graph, stack: ReductionStack, a1: int) -> int:
     seen_partners: set[int] = set()
     for b in g.neighbors_live(a1):
         if g.live_degree[b] < 3:
@@ -519,12 +471,12 @@ def _four_cycle_at(g: Graph, stack: ReductionStack, a1: int,
                 for b2 in common[i + 1:]:
                     if g.has_live_edge(b1, b2):
                         continue
-                    if _fire_four_cycle(g, stack, a1, a2, b1, b2, constraints):
+                    if _fire_four_cycle(g, stack, a1, a2, b1, b2):
                         return 1
     return 0
 
 
-def _fire_four_cycle(g, stack, a1, a2, b1, b2, constraints) -> bool:
+def _fire_four_cycle(g, stack, a1, a2, b1, b2) -> bool:
     a_set = (a1, a2)
     b_set = (b1, b2)
     a_out = sorted(
@@ -537,8 +489,7 @@ def _fire_four_cycle(g, stack, a1, a2, b1, b2, constraints) -> bool:
         return False
     if set(a_out) & set(b_out):
         return False   # shared outside neighborhood disqualifies the pattern
-    if constraints is not None:
-        constraints.note_opaque(a_set + b_set)
+    stack.constraints.note_opaque(a_set + b_set)
     for x in a_set + b_set:
         g.remove_vertex(x)
     crosses = []
@@ -552,47 +503,33 @@ def _fire_four_cycle(g, stack, a1, a2, b1, b2, constraints) -> bool:
     return True
 
 
-def reduce_lp(g: Graph, stack: ReductionStack,
-              minimal_half: bool = True,
-              constraints: ConstraintStore | None = None) -> int:
+def reduce_lp(g: Graph, stack: ReductionStack) -> int:
     """Fix every vertex the half-integral relaxation decides integrally.
 
     Value-1 vertices go into the solution (their neighbors are all value
-    0 and drop out); value-0 vertices are excluded. ``minimal_half``
-    additionally rounds the matching solution so the half-valued part is
-    as small as possible, which fixes strictly more vertices.
+    0 and drop out); value-0 vertices are excluded. Returns the number
+    of vertices removed.
     """
-    values = lp_relaxation_values(g, minimal_half=minimal_half)
+    values = lp_relaxation_values(g)
     ones = sorted(v for v, x in values.items() if x == 1.0)
     count = 0
     for v in ones:
-        if not g.alive[v]:
-            continue
-        stack.push_include(v)
-        if constraints is not None:
-            constraints.note_include(v)
-        nbrs = g.neighbors_live(v)
-        g.remove_vertex(v)
-        count += 1
-        for u in nbrs:
-            stack.push_exclude(u)
-            if constraints is not None:
-                constraints.note_exclude(u)
-            g.remove_vertex(u)
-            count += 1
+        if g.alive[v]:
+            count += 1 + g.live_degree[v]
+            _include_vertex(g, stack, v)
     # optimality forces every value-0 vertex next to a value-1 vertex,
     # so nothing with value 0 survives the loop above
     return count
 
 
-def lp_relaxation_values(g: Graph, minimal_half: bool = True) -> dict[int, float]:
+def lp_relaxation_values(g: Graph) -> dict[int, float]:
     """Half-integral optimum of the relaxation, per alive vertex.
 
     Solved as maximum bipartite matching on the standard double cover
     (each vertex split into a left and a right copy, each edge doubled).
-    With ``minimal_half`` the residual orientation is decomposed into
-    strongly connected components and mirror-paired components are split
-    across the cut, minimizing the half-valued part.
+    The residual orientation is then decomposed into strongly connected
+    components and mirror-paired components are split across the cut,
+    which minimizes the half-valued part.
     """
     vertices = g.alive_vertices()
     k = len(vertices)
@@ -644,8 +581,7 @@ def lp_relaxation_values(g: Graph, minimal_half: bool = True) -> dict[int, float
         elif in_sink[x]:
             side[x] = -1
 
-    if minimal_half:
-        _round_middle(adj, match_r, side, k)
+    _round_middle(adj, match_r, side, k)
 
     values: dict[int, float] = {}
     for i, v in enumerate(vertices):
@@ -820,14 +756,13 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
     return match_l, match_r
 
 
-def reduce_packing_k0(g: Graph, stack: ReductionStack,
-                      constraints: ConstraintStore) -> int:
+def reduce_packing_k0(g: Graph, stack: ReductionStack) -> int:
     """Fire bound-0 constraints: every member joins the solution."""
     count = 0
     progress = True
     while progress:
         progress = False
-        for c in constraints.fireable():
+        for c in stack.constraints.fireable():
             members = sorted(c.members)
             if not all(g.alive[v] for v in members):
                 c.retired = True
@@ -842,7 +777,7 @@ def reduce_packing_k0(g: Graph, stack: ReductionStack,
                 continue   # cannot arise from sound exclusions; drop defensively
             for v in members:
                 if g.alive[v]:
-                    _include_vertex(g, stack, v, constraints)
+                    _include_vertex(g, stack, v)
             count += 1
             progress = True
     return count
@@ -852,7 +787,7 @@ def reduce_packing_k0(g: Graph, stack: ReductionStack,
 # driver
 
 
-def kernelize(g: Graph, rules=ALL_RULES, lp_minimal_half: bool = True) -> KernelResult:
+def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
     """Run enabled rules to a fixpoint, cheapest first, restarting from the
     top after any application. Mutates ``g`` in place.
     """
@@ -860,41 +795,30 @@ def kernelize(g: Graph, rules=ALL_RULES, lp_minimal_half: bool = True) -> Kernel
     unknown = enabled - ALL_RULES
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
+    # looked up at call time, so a rebound module global takes effect
+    by_name = {
+        "pendant": reduce_pendant,
+        "isolated": reduce_isolated,
+        "fold": reduce_fold,
+        "lp": reduce_lp,
+        "unconfined": reduce_unconfined,
+        "twin": reduce_twin,
+        "alternative": reduce_alternative,
+        "packing": reduce_packing_k0,
+    }
+    active = [(name, by_name[name]) for name in RULE_ORDER if name in enabled]
     stack = ReductionStack(g)
-    store = ConstraintStore() if "packing" in enabled else None
-    counts = {name: 0 for name in RULE_ORDER if name in enabled}
-
-    def run(name: str) -> int:
-        if name == "pendant":
-            return reduce_pendant(g, stack, store)
-        if name == "isolated":
-            return reduce_isolated(g, stack, None, store)
-        if name == "fold":
-            return reduce_fold(g, stack, store)
-        if name == "lp":
-            return reduce_lp(g, stack, lp_minimal_half, store)
-        if name == "unconfined":
-            return reduce_unconfined(g, stack, store)
-        if name == "twin":
-            return reduce_twin(g, stack, store)
-        if name == "alternative":
-            return reduce_alternative(g, stack, store)
-        return reduce_packing_k0(g, stack, store)
-
-    while True:
+    counts = {name: 0 for name, _ in active}
+    applied = True
+    while applied:
         applied = False
-        for name in RULE_ORDER:
-            if name not in enabled:
-                continue
-            fired = run(name)
+        for name, rule in active:
+            fired = rule(g, stack)
             counts[name] += fired
             if fired:
                 applied = True
                 break
-        if not applied:
-            break
     return KernelResult(
-        kernel=g,
         stack=stack,
         per_rule_counts=counts,
         reduced_n=g.alive_count(),
@@ -912,7 +836,7 @@ def lift_solution(stack: ReductionStack, kernel_solution) -> set[int]:
     g = stack.graph
     solution = set(kernel_solution)
     for v in solution:
-        if v >= g.next_id or not g.alive[v]:
+        if not 0 <= v < g.next_id or not g.alive[v]:
             raise ValueError(f"solution vertex {v} is not alive in the reduced graph")
     for v in solution:
         for u in g.neighbors_live(v):
@@ -921,8 +845,6 @@ def lift_solution(stack: ReductionStack, kernel_solution) -> set[int]:
     for entry in reversed(stack.entries):
         if isinstance(entry, IncludeVertex):
             solution.add(entry.v)
-        elif isinstance(entry, ExcludeVertex):
-            pass
         elif isinstance(entry, Fold):
             if entry.merged in solution:
                 solution.discard(entry.merged)

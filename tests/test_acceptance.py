@@ -2,13 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The trend check at the
 end drives two solvers for 60 wall-clock seconds per seed and dominates
-the total runtime.
+the total runtime; it is marked ``slow``, so ``-m "not slow"`` skips it.
 """
 
 import itertools
 import math
 import random
 import time
+
+import pytest
 
 from fastmis.cut import cut_relative
 from fastmis.local_search import (
@@ -227,6 +229,7 @@ def test_criterion_8_determinism(tmp_path):
     report(8, True, "20 instances re-run byte-identical (solution and log files)")
 
 
+@pytest.mark.slow
 def test_criterion_9_desk_scale_trend():
     seeds = (1, 2, 3, 4, 5)
     budget_seconds = 60.0

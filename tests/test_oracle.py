@@ -3,12 +3,7 @@ import random
 import pytest
 
 from fastmis.local_search import greedy_initial
-from fastmis.oracle import (
-    GraphTooLargeError,
-    enumerate_swaps,
-    exact_mis,
-    exact_mis_bitmask,
-)
+from fastmis.oracle import GraphTooLargeError, enumerate_swaps, exact_mis
 
 from util import (
     brute_mis_size,
@@ -46,18 +41,15 @@ def test_empty_graph_optimum():
 def test_node_limit_refusal():
     with pytest.raises(GraphTooLargeError):
         exact_mis(empty_graph(50))
-    with pytest.raises(GraphTooLargeError):
-        exact_mis_bitmask(empty_graph(25))
 
 
-def test_oracle_agrees_with_enumeration_and_bitmask():
+def test_oracle_agrees_with_enumeration():
     rng = random.Random(3)
     for _ in range(120):
         n = rng.randrange(0, 13)
         g = er_graph(rng, n, rng.uniform(0.05, 0.85))
         size, witness = exact_mis(g)
         assert size == brute_mis_size(g)
-        assert size == exact_mis_bitmask(g)
         assert len(witness) == size
         assert is_independent(g, witness)
 

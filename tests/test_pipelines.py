@@ -1,4 +1,6 @@
+import importlib
 import random
+import time
 
 from fastmis.cut import cut_snapshot_top
 from fastmis.local_search import Budget
@@ -131,3 +133,28 @@ def test_pipelines_do_not_mutate_input():
     plain_arw(g, Budget(iterations=20), random.Random(1))
     assert g.edges() == edges_before
     assert g.alive_count() == 20
+
+
+def test_search_stops_once_nothing_can_enter(monkeypatch):
+    # with every live vertex in the solution no perturbation can change
+    # the result, so the loop must not spin through the rest of its budget
+    # the package re-exports the local_search function under the module's name
+    module = importlib.import_module("fastmis.local_search")
+    calls = []
+    real_perturb = module.perturb
+
+    def counting_perturb(*args):
+        calls.append(1)
+        return real_perturb(*args)
+
+    monkeypatch.setattr(module, "perturb", counting_perturb)
+    started = time.perf_counter()
+    best = plain_arw(empty_graph(50), Budget(seconds=2), random.Random(1))
+    assert best == set(range(50))
+    assert calls == []
+    assert time.perf_counter() - started < 1.0
+
+    tree = random_tree(random.Random(4), 200)
+    best = online_mis(tree, 0.0, Budget(iterations=5000), random.Random(4))
+    assert is_independent(tree, best)
+    assert calls == []

@@ -8,7 +8,6 @@ from fastmis.reductions import (
     ALL_RULES,
     KERMIS_RULES,
     ConstraintStore,
-    ExcludeVertex,
     IncludeVertex,
     ReductionStack,
     _apply_four_cycles,
@@ -33,18 +32,20 @@ from util import (
     cycle_graph,
     empty_graph,
     er_graph,
+    gnm_graph,
     is_independent,
+    mesh_graph,
     path_graph,
     random_tree,
     star_graph,
 )
 
 
-def lifted_optimum(g, rules, **kw):
+def lifted_optimum(g, rules):
     """Kernelize a copy, solve the kernel exactly, lift, return the set."""
     original = g.copy()
     work = g.copy()
-    result = kernelize(work, rules=rules, **kw)
+    result = kernelize(work, rules=rules)
     _, witness = exact_mis(work)
     lifted = lift_solution(result.stack, witness)
     assert is_independent(original, lifted)
@@ -96,7 +97,7 @@ def test_isolated_clique_of_five():
 def test_isolated_takes_degree_zero():
     g = empty_graph(1)
     stack = ReductionStack(g)
-    assert reduce_isolated(g, stack, max_degree=0) == 1
+    assert reduce_isolated(g, stack) == 1
     assert lift_solution(stack, set()) == {0}
 
 
@@ -114,16 +115,13 @@ def test_isolated_p3_center_not_simplicial():
 
 
 def test_isolated_respects_degree_bound():
+    # the degree bound of the online check lives in Graph.is_simplicial;
+    # the kernelization rule takes simplicial vertices at any degree
     g = complete_graph(4)  # simplicial at degree 3
+    assert not g.is_simplicial(0, max_degree=2)
     stack = ReductionStack(g)
-    assert reduce_isolated(g, stack, max_degree=2) == 0
     assert reduce_isolated(g, stack) == 1
-
-
-def test_isolated_rejects_bad_bound():
-    g = empty_graph(1)
-    with pytest.raises(ValueError):
-        reduce_isolated(g, ReductionStack(g), max_degree=3)
+    assert g.alive_count() == 0
 
 
 # ----------------------------------------------------------------------
@@ -156,29 +154,24 @@ def test_fold_c4_collapses_parallel_edges():
 # linear relaxation
 
 
-def test_lp_single_edge_all_half_without_rounding():
-    g = path_graph(2)
-    stack = ReductionStack(g)
-    assert reduce_lp(g, stack, minimal_half=False) == 0
-    assert g.alive_count() == 2
-    assert lp_relaxation_values(g, minimal_half=False) == {0: 0.5, 1: 0.5}
-
-
 def test_lp_single_edge_fixed_by_rounding():
     g = path_graph(2)
-    values = sorted(lp_relaxation_values(g, minimal_half=True).values())
+    values = sorted(lp_relaxation_values(g).values())
     assert values == [0.0, 1.0]
+    stack = ReductionStack(g)
+    assert reduce_lp(g, stack) == 2
+    assert g.alive_count() == 0
+    assert len(lift_solution(stack, set())) == 1
 
 
 def test_lp_star_fixes_everything():
     g = star_graph(3)
     stack = ReductionStack(g)
-    reduce_lp(g, stack, minimal_half=False)
+    assert reduce_lp(g, stack) == 4   # three leaves, and the center with the first
     assert g.alive_count() == 0
-    includes = [e.v for e in stack.entries if isinstance(e, IncludeVertex)]
-    excludes = [e.v for e in stack.entries if isinstance(e, ExcludeVertex)]
-    assert sorted(includes) == [1, 2, 3]
-    assert excludes == [0]
+    assert all(isinstance(e, IncludeVertex) for e in stack.entries)
+    assert sorted(e.v for e in stack.entries) == [1, 2, 3]
+    assert lift_solution(stack, set()) == {1, 2, 3}
 
 
 def test_lp_empty_graph_includes_all():
@@ -190,7 +183,7 @@ def test_lp_empty_graph_includes_all():
 
 def test_lp_odd_cycle_unmoved_even_with_rounding():
     g = cycle_graph(5)
-    values = lp_relaxation_values(g, minimal_half=True)
+    values = lp_relaxation_values(g)
     assert set(values.values()) == {0.5}
 
 
@@ -201,13 +194,11 @@ def test_lp_values_match_enumerated_optimum():
         g = er_graph(rng, n, rng.uniform(0.1, 0.8))
         best_value, optima = brute_lp_optima(g)
         min_half = min(sum(1 for x in sol.values() if x == 0.5) for sol in optima)
-        for minimal in (False, True):
-            values = lp_relaxation_values(g, minimal_half=minimal)
-            assert abs(sum(values.values()) - best_value) < 1e-9
-            for u, v in g.edges():
-                assert values[u] + values[v] <= 1.0 + 1e-9
-        rounded = lp_relaxation_values(g, minimal_half=True)
-        assert sum(1 for x in rounded.values() if x == 0.5) == min_half
+        values = lp_relaxation_values(g)
+        assert abs(sum(values.values()) - best_value) < 1e-9
+        for u, v in g.edges():
+            assert values[u] + values[v] <= 1.0 + 1e-9
+        assert sum(1 for x in values.values() if x == 0.5) == min_half
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +293,7 @@ def test_funnel_witness_graph():
 def test_four_cycle_rule_needs_degree_three():
     g = cycle_graph(4)
     stack = ReductionStack(g)
-    assert _apply_four_cycles(g, stack, None) == 0
+    assert _apply_four_cycles(g, stack) == 0
     assert g.alive_count() == 4
 
 
@@ -325,10 +316,10 @@ def test_alternative_preserves_optimum_on_randoms():
 def test_packing_zero_bound_fires():
     g = load([(0, 2), (1, 2)], 3)
     stack = ReductionStack(g)
-    store = ConstraintStore()
+    store = stack.constraints
     store.add_neighbor_constraint([0, 1])
     store.constraints[0].bound = 0  # both 0 and 1 forced in
-    assert reduce_packing_k0(g, stack, store) == 1
+    assert reduce_packing_k0(g, stack) == 1
     assert lift_solution(stack, set()) == {0, 1}
     assert g.alive_count() == 0
 
@@ -336,19 +327,18 @@ def test_packing_zero_bound_fires():
 def test_packing_positive_bound_no_action():
     g = load([(0, 2), (1, 2)], 3)
     stack = ReductionStack(g)
-    store = ConstraintStore()
-    store.add_neighbor_constraint([0, 1])  # bound 1
-    assert reduce_packing_k0(g, stack, store) == 0
+    stack.constraints.add_neighbor_constraint([0, 1])  # bound 1
+    assert reduce_packing_k0(g, stack) == 0
     assert g.alive_count() == 3
 
 
 def test_packing_edge_inside_members_is_dropped():
     g = load([(0, 1)], 2)
     stack = ReductionStack(g)
-    store = ConstraintStore()
+    store = stack.constraints
     store.add_neighbor_constraint([0, 1])
     store.constraints[0].bound = 0
-    assert reduce_packing_k0(g, stack, store) == 0
+    assert reduce_packing_k0(g, stack) == 0
     assert store.constraints[0].retired
 
 
@@ -466,6 +456,11 @@ def test_lift_rejects_dead_vertices():
     g.remove_vertex(0)
     with pytest.raises(ValueError):
         lift_solution(stack, {0})
+    # negative ids would otherwise index alive[] from the end
+    with pytest.raises(ValueError):
+        lift_solution(ReductionStack(path_graph(3)), {-1})
+    with pytest.raises(ValueError):
+        lift_solution(ReductionStack(path_graph(4)), {-4, 2})
 
 
 def test_lift_size_matches_offset_plus_kernel():
@@ -490,3 +485,32 @@ def test_kernelize_full_rule_set_exact_on_randoms():
         assert len(lifted) == opt
         lifted = lifted_optimum(g, KERMIS_RULES)
         assert len(lifted) == opt
+
+
+# Kernels recorded before the rules shared one state and one commit
+# path; any change to a rule's behaviour shows up here first.
+GOLDEN_KERNELS = [
+    ("mesh30", "all", {"pendant": 1, "isolated": 5, "fold": 40, "lp": 0,
+                       "unconfined": 51, "twin": 0, "alternative": 22,
+                       "packing": 0}, 717, 1739, 68),
+    ("mesh30", "kermis", {"pendant": 1, "fold": 40, "lp": 5, "unconfined": 51,
+                          "twin": 0, "alternative": 22, "packing": 0},
+     717, 1739, 68),
+    ("gnm300", "all", {"pendant": 23, "isolated": 10, "fold": 58, "lp": 0,
+                       "unconfined": 6, "twin": 0, "alternative": 11,
+                       "packing": 0}, 89, 193, 102),
+    ("gnm300", "kermis", {"pendant": 23, "fold": 60, "lp": 8, "unconfined": 15,
+                          "twin": 0, "alternative": 11, "packing": 0},
+     89, 193, 102),
+]
+
+
+@pytest.mark.parametrize("graph,rules,counts,n,m,offset", GOLDEN_KERNELS)
+def test_kernelize_golden(graph, rules, counts, n, m, offset):
+    if graph == "mesh30":
+        g = mesh_graph(random.Random(100), 30)
+    else:
+        g = gnm_graph(random.Random(300), 300, 600)
+    result = kernelize(g, rules=ALL_RULES if rules == "all" else KERMIS_RULES)
+    assert result.per_rule_counts == counts
+    assert (result.reduced_n, result.reduced_m, result.stack.offset) == (n, m, offset)

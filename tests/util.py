@@ -71,6 +71,33 @@ def ba_graph(rng: random.Random, n: int, attach=3) -> Graph:
     return load(edges, n)
 
 
+def gnm_graph(rng: random.Random, n: int, m: int) -> Graph:
+    """G(n, m): ``m`` distinct vertex pairs drawn uniformly."""
+    seen = set()
+    while len(seen) < m:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            seen.add((u, v) if u < v else (v, u))
+    return load(list(seen), n)
+
+
+def mesh_graph(rng: random.Random, side: int) -> Graph:
+    """A side x side grid; each unit square gets its down-right diagonal
+    with probability 1/2 (planar, degree at most 6)."""
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            v = i * side + j
+            if j + 1 < side:
+                edges.append((v, v + 1))
+            if i + 1 < side:
+                edges.append((v, v + side))
+            if i + 1 < side and j + 1 < side and rng.random() < 0.5:
+                edges.append((v, v + side + 1))
+    return load(edges, side * side)
+
+
 def brute_mis_size(g: Graph) -> int:
     """Independent ground truth by subset enumeration over alive vertices."""
     vertices = g.alive_vertices()
