@@ -13,7 +13,6 @@ from .local_search import (
     Solution,
     find_one_two_swap,
     greedy_initial,
-    local_search,
     perturb,
     run_iterated,
     sample_force_count,
@@ -55,7 +54,6 @@ __all__ = [
     "kernelize",
     "lift_solution",
     "load",
-    "local_search",
     "max_speedup",
     "online_mis",
     "perturb",

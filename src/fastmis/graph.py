@@ -3,9 +3,12 @@
 Vertex ids are dense integers. Ids below ``n`` come from the input; ids at
 or above ``n`` are created later by reductions (folding, gadget insertion)
 and are appended so input ids stay stable for solution reporting. Removing
-a vertex flips an ``alive`` flag instead of rewriting adjacency lists;
-neighborhood queries filter dead entries on the fly. Adjacency lists are
-kept sorted so clique and twin checks can merge-scan them in linear time.
+a vertex flips an ``alive`` flag instead of rewriting adjacency lists.
+Reductions and cutting ask :meth:`Graph.neighbors_live`, which filters
+dead entries on the fly; the local search walks ``adjacency`` in place
+and checks ``alive`` inline where a dead entry matters. Adjacency lists
+are kept sorted so clique and twin checks can merge-scan them in linear
+time, and so the search visits neighbors in a fixed order.
 """
 
 from __future__ import annotations
@@ -76,8 +79,13 @@ class Graph:
         if deg <= 1:
             return True
         if deg == 2:
-            it = (u for u in self.adjacency[v] if self.alive[u])
-            return self.has_live_edge(next(it), next(it))
+            alive = self.alive
+            first = -1
+            for u in self.adjacency[v]:
+                if alive[u]:
+                    if first >= 0:
+                        return self.has_live_edge(first, u)
+                    first = u
         nbrs = self.neighbors_live(v)
         # each neighbor must be adjacent to all the others; a merge scan over
         # the sorted lists counts shared members without building sets
@@ -119,11 +127,13 @@ class Graph:
     # mutation
 
     def remove_vertex(self, v: int) -> None:
-        if not self.alive[v]:
-            raise ValueError(f"vertex {v} is already removed")
-        self.alive[v] = False
         alive = self.alive
+        if not alive[v]:
+            raise ValueError(f"vertex {v} is already removed")
+        alive[v] = False
         live_degree = self.live_degree
+        if live_degree[v] == 0:
+            return   # no live neighbor to update
         for u in self.adjacency[v]:
             if alive[u]:
                 live_degree[u] -= 1
@@ -192,21 +202,6 @@ class Graph:
         g.live_degree = list(self.live_degree)
         g.next_id = self.next_id
         return g
-
-    def compact(self) -> tuple[Graph, list[int]]:
-        """Physically rebuild the live subgraph with dense ids.
-
-        Returns (graph, old_ids) where ``old_ids[new]`` is the original id.
-        Optional step; useful before long search runs.
-        """
-        old_ids = self.alive_vertices()
-        new_of = {v: i for i, v in enumerate(old_ids)}
-        g = Graph(len(old_ids))
-        for i, v in enumerate(old_ids):
-            nbrs = [new_of[u] for u in self.adjacency[v] if self.alive[u]]
-            g.adjacency[i] = sorted(nbrs)
-            g.live_degree[i] = len(nbrs)
-        return g, old_ids
 
     def validate(self) -> None:
         """Full-rescan consistency check; raises AssertionError on damage."""

@@ -7,6 +7,11 @@ and queues candidates so no vertex is re-examined for a (1,2)-swap until
 its neighborhood changes. One search iteration is a forced perturbation
 followed by swap-based local search.
 
+The search walks ``graph.adjacency`` in place, dead entries included,
+and checks the ``alive`` flag only where a dead neighbor could change
+the outcome (see :class:`Solution`). Adjacency lists stay sorted, so
+every rng draw, set insertion and queue push happens in vertex-id order.
+
 In online mode every insertion first runs the cheap degree-<=2 clique
 check: vertices that pass are committed permanently and their
 neighborhoods leave the residual graph for good.
@@ -104,7 +109,25 @@ class _IndexedSet:
 
 
 class Solution:
-    """Independent set with tightness bookkeeping over a live graph."""
+    """Independent set with tightness bookkeeping over a live graph.
+
+    Invariant: a dead vertex is in the solution only if it was
+    committed, and a committed vertex has no live neighbor. Dead
+    vertices cannot be inserted, a commit deletes the vertex's whole
+    neighborhood, and only commits delete vertices during search. Hence
+    the neighbor loops skip dead entries only where one could change the
+    outcome: the tightness, free and queue updates of :meth:`remove`,
+    the deletions of :meth:`_commit` and the 1-tight list of
+    :func:`find_one_two_swap`. Elsewhere a dead entry is harmless:
+    :meth:`_base_insert` may raise a dead vertex's tightness, which
+    nothing reads, and a solution member next to a live vertex is itself
+    alive.
+
+    Best-set tracking journals every move since the last
+    :meth:`mark_best`. Past ``len(in_solution)`` entries the best set is
+    snapshotted instead, and journaling pauses until the next mark, so
+    the journal stays within that bound.
+    """
 
     def __init__(self, graph: Graph, rng: random.Random, online: bool = False) -> None:
         capacity = graph.next_id
@@ -122,6 +145,7 @@ class Solution:
         self._queue: deque[int] = deque()
         self._queued = [False] * capacity
         self._journal: list[tuple[int, int]] | None = None
+        self._best: set[int] | None = None
         for v in graph.alive_vertices():
             self.free.add(v)
             self.non_solution.add(v)
@@ -148,29 +172,38 @@ class Solution:
             raise ValueError(f"vertex {v} is not in the solution")
         if self.committed[v]:
             raise ValueError(f"vertex {v} is committed and cannot leave")
-        g = self.graph
-        self.in_solution[v] = False
+        in_solution = self.in_solution
+        in_solution[v] = False
         self.size -= 1
-        if self._journal is not None:
-            self._journal.append((-1, v))
+        journal = self._journal
+        if journal is not None:
+            journal.append((-1, v))
+            if len(journal) > len(in_solution):
+                self._snapshot_best()
         self.clock += 1
         self.last_out[v] = self.clock
         self.non_solution.add(v)
+        adjacency = self.graph.adjacency
+        alive = self.graph.alive
         tightness = self.tightness
-        for u in g.neighbors_live(v):
-            tightness[u] -= 1
-            if not self.in_solution[u]:
-                if tightness[u] == 0:
-                    self.free.add(u)
-                elif tightness[u] == 1:
+        free = self.free
+        for u in adjacency[v]:
+            if not alive[u]:
+                continue
+            t = tightness[u] - 1
+            tightness[u] = t
+            if not in_solution[u]:
+                if t == 0:
+                    free.add(u)
+                elif t == 1:
                     # u turned 1-tight: its unique solution neighbor may
                     # have gained a swap, so it goes back on the queue
-                    for y in g.neighbors_live(u):
-                        if self.in_solution[y]:
+                    for y in adjacency[u]:
+                        if in_solution[y]:
                             self._enqueue(y)
                             break
         if tightness[v] == 0:
-            self.free.add(v)
+            free.add(v)
 
     def maximalize(self) -> int:
         """Insert free vertices in random order until none remain."""
@@ -186,15 +219,20 @@ class Solution:
     def _base_insert(self, v: int) -> None:
         self.in_solution[v] = True
         self.size += 1
-        if self._journal is not None:
-            self._journal.append((1, v))
-        self.free.discard(v)
+        journal = self._journal
+        if journal is not None:
+            journal.append((1, v))
+            if len(journal) > len(self.in_solution):
+                self._snapshot_best()
+        free = self.free
+        free.discard(v)
         self.non_solution.discard(v)
         tightness = self.tightness
-        for u in self.graph.neighbors_live(v):
-            tightness[u] += 1
-            if tightness[u] == 1:
-                self.free.discard(u)
+        for u in self.graph.adjacency[v]:
+            t = tightness[u] + 1
+            tightness[u] = t
+            if t == 1:
+                free.discard(u)
 
     def _commit(self, v: int) -> None:
         """Permanently take ``v`` and delete its closed neighborhood.
@@ -205,20 +243,28 @@ class Solution:
         g = self.graph
         self.in_solution[v] = True
         self.size += 1
-        if self._journal is not None:
-            self._journal.append((1, v))
+        journal = self._journal
+        if journal is not None:
+            journal.append((1, v))
+            if len(journal) > len(self.in_solution):
+                self._snapshot_best()
         self.committed[v] = True
-        self.free.discard(v)
-        self.non_solution.discard(v)
-        for u in g.neighbors_live(v):
-            g.remove_vertex(u)
-            self._note_removed(u)
+        free = self.free
+        non_solution = self.non_solution
+        free.discard(v)
+        non_solution.discard(v)
+        alive = g.alive
+        left = g.live_degree[v]
+        for u in g.adjacency[v]:
+            if not left:
+                break   # every live neighbor is gone; the rest are dead
+            if alive[u]:
+                # u leaves the graph while outside the solution
+                g.remove_vertex(u)
+                free.discard(u)
+                non_solution.discard(u)
+                left -= 1
         g.remove_vertex(v)
-
-    def _note_removed(self, u: int) -> None:
-        # u left the graph while outside the solution
-        self.free.discard(u)
-        self.non_solution.discard(u)
 
     def _enqueue(self, v: int) -> None:
         if not self._queued[v]:
@@ -242,13 +288,24 @@ class Solution:
 
     def start_best_tracking(self) -> None:
         self._journal = []
+        self._best = None
 
     def mark_best(self) -> None:
-        if self._journal is not None:
-            self._journal.clear()
+        if self._journal is not None or self._best is not None:
+            self._journal = []
+            self._best = None
+
+    def _snapshot_best(self) -> None:
+        # the journal has outgrown the graph: keep the best set itself,
+        # at one O(n) pass per improvement at most
+        self._best = self.materialize_best()
+        self._journal = None
 
     def materialize_best(self) -> set[int]:
-        """Solution as of the last mark_best, replayed from the journal."""
+        """Solution as of the last mark_best, from the snapshot or
+        replayed from the journal."""
+        if self._best is not None:
+            return set(self._best)
         best = self.vertices()
         if self._journal is not None:
             for op, v in reversed(self._journal):
@@ -296,7 +353,8 @@ def find_one_two_swap(sol: Solution, v: int, pair_cap: int | None = None):
         raise ValueError(f"vertex {v} is not in the solution")
     g = sol.graph
     tightness = sol.tightness
-    ones = [u for u in g.neighbors_live(v) if tightness[u] == 1]
+    alive = g.alive
+    ones = [u for u in g.adjacency[v] if tightness[u] == 1 and alive[u]]
     if len(ones) < 2:
         return None
     sol.rng.shuffle(ones)
@@ -350,7 +408,8 @@ def perturb(sol: Solution, params: PerturbationParams, rng: random.Random) -> No
     is re-maximalized at the end.
     """
     force = sample_force_count(rng)
-    g = sol.graph
+    adjacency = sol.graph.adjacency
+    in_solution = sol.in_solution
     for _ in range(force):
         if len(sol.non_solution) == 0:
             break
@@ -359,8 +418,9 @@ def perturb(sol: Solution, params: PerturbationParams, rng: random.Random) -> No
             x = sol.non_solution.sample(rng)
             if pick is None or (sol.last_out[x], x) < (sol.last_out[pick], pick):
                 pick = x
-        for y in [u for u in g.neighbors_live(pick) if sol.in_solution[u]]:
-            sol.remove(y)
+        for y in adjacency[pick]:
+            if in_solution[y]:
+                sol.remove(y)
         sol.insert(pick)
     sol.maximalize()
 

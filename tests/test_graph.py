@@ -150,17 +150,6 @@ def test_copy_is_independent():
     assert not h.alive[0]
 
 
-def test_compact_preserves_structure():
-    g = load([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
-    g.remove_vertex(1)
-    packed, old_ids = g.compact()
-    assert packed.n == 3
-    back = {i: old_ids[i] for i in range(3)}
-    edges = {(back[u], back[v]) for u, v in packed.edges()}
-    assert edges == {(2, 3), (0, 3)}
-    packed.validate()
-
-
 def test_random_operation_sequences_keep_invariants():
     rng = random.Random(11)
     for _ in range(30):

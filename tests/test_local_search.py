@@ -23,6 +23,7 @@ from util import (
     empty_graph,
     er_graph,
     is_independent,
+    mesh_graph,
     path_graph,
     star_graph,
 )
@@ -267,6 +268,33 @@ def test_perturb_keeps_invariants():
         assert is_independent(g, sol.vertices())
 
 
+def test_search_keeps_invariants_with_dead_vertices_and_commits():
+    # vertices deleted before the solution is built, as cutting and
+    # kernelization leave them, and online commits that delete more in
+    # the middle of the search: dead entries stay in every adjacency list
+    rng = random.Random(31)
+    commits_during_search = 0
+    for trial in range(80):
+        g = er_graph(rng, rng.randrange(2, 16), rng.uniform(0.1, 0.6))
+        original = g.copy()
+        if trial % 4 != 3:
+            for v in g.alive_vertices():
+                if rng.random() < 0.25:
+                    g.remove_vertex(v)
+        online = trial % 2 == 1
+        sol = greedy_initial(g, random.Random(rng.randrange(10**6)), online=online)
+        check_solution_state(sol)
+        for _ in range(20):
+            committed = sum(sol.committed)
+            perturb(sol, PerturbationParams(), rng)
+            local_search(sol, pair_cap=None)
+            commits_during_search += sum(sol.committed) - committed
+            check_solution_state(sol)
+            assert len(sol.free) == 0
+            assert is_independent(original, sol.vertices())
+    assert commits_during_search > 0
+
+
 # ----------------------------------------------------------------------
 # iterated runs
 
@@ -338,3 +366,38 @@ def test_run_best_recovered_after_decline():
         best = run_iterated(g, sol, Budget(iterations=120), log, run_rng)
         assert len(best) == log.points[-1][1]
         assert is_independent(g, best)
+
+
+def test_best_journal_stays_bounded(monkeypatch):
+    # the search stops improving early on a small mesh, so the journal
+    # of moves since the last improvement outgrows its bound
+    g = mesh_graph(random.Random(100), 10)
+    rng = random.Random(5)
+    sol = greedy_initial(g, rng)
+    bound = len(sol.in_solution)
+    best_sets = [sol.vertices()]
+    real_mark_best = sol.mark_best
+
+    def mark_best():
+        real_mark_best()
+        best_sets.append(sol.vertices())
+
+    sol.mark_best = mark_best
+    lengths = []
+    snapshots = []
+
+    def watching_perturb(s, params, r):
+        lengths.append(len(s._journal or ()))
+        snapshots.append(s._best is not None)
+        perturb(s, params, r)
+
+    monkeypatch.setattr("fastmis.local_search.perturb", watching_perturb)
+    log = ConvergenceLog()
+    best = run_iterated(g, sol, Budget(iterations=2000), log, rng)
+    assert log.points[-1][0] < 1000
+    assert any(snapshots)
+    assert max(lengths) <= bound
+    assert len(sol._journal or ()) <= bound
+    assert best == best_sets[-1]
+    assert len(best) == log.points[-1][1]
+    assert is_independent(g, best)

@@ -1,9 +1,11 @@
-import importlib
+import hashlib
 import random
 import time
 
+import pytest
+
 from fastmis.cut import cut_snapshot_top
-from fastmis.local_search import Budget
+from fastmis.local_search import Budget, perturb
 from fastmis.metrics import ConvergenceLog
 from fastmis.oracle import exact_mis
 from fastmis.pipelines import ker_mis, online_mis, plain_arw
@@ -12,7 +14,9 @@ from util import (
     complete_graph,
     empty_graph,
     er_graph,
+    gnm_graph,
     is_independent,
+    mesh_graph,
     path_graph,
     random_tree,
     star_graph,
@@ -138,16 +142,13 @@ def test_pipelines_do_not_mutate_input():
 def test_search_stops_once_nothing_can_enter(monkeypatch):
     # with every live vertex in the solution no perturbation can change
     # the result, so the loop must not spin through the rest of its budget
-    # the package re-exports the local_search function under the module's name
-    module = importlib.import_module("fastmis.local_search")
     calls = []
-    real_perturb = module.perturb
 
     def counting_perturb(*args):
         calls.append(1)
-        return real_perturb(*args)
+        return perturb(*args)
 
-    monkeypatch.setattr(module, "perturb", counting_perturb)
+    monkeypatch.setattr("fastmis.local_search.perturb", counting_perturb)
     started = time.perf_counter()
     best = plain_arw(empty_graph(50), Budget(seconds=2), random.Random(1))
     assert best == set(range(50))
@@ -158,3 +159,44 @@ def test_search_stops_once_nothing_can_enter(monkeypatch):
     best = online_mis(tree, 0.0, Budget(iterations=5000), random.Random(4))
     assert is_independent(tree, best)
     assert calls == []
+
+
+# Trajectories recorded before the search walked adjacency lists in
+# place: (graph, pipeline, seed, size, log points, hash of the sorted
+# solution and the log). Any change to the order of rng draws, set
+# insertions or queue pushes shows up here first.
+GOLDEN_TRAJECTORIES = [
+    ("mesh30", "onlinemis", 1, 320, 10, "b38ef3e549bd5563"),
+    ("mesh30", "onlinemis", 2, 320, 9, "85b94e860d0132c6"),
+    ("mesh30", "kermis", 1, 324, 8, "38377f02aa1584a2"),
+    ("mesh30", "kermis", 2, 323, 9, "c9f2c640947fe4d5"),
+    ("mesh30", "arw", 1, 317, 11, "7508d83affc9a3bd"),
+    ("mesh30", "arw", 2, 323, 15, "d93299ce02b07d61"),
+    ("gnm300", "onlinemis", 1, 140, 5, "e324d278b00291ff"),
+    ("gnm300", "onlinemis", 2, 142, 6, "be1495630a39b62f"),
+    ("gnm300", "kermis", 1, 142, 5, "5a6b38b8ac2da2ae"),
+    ("gnm300", "kermis", 2, 142, 3, "de16a96e31ebd726"),
+    ("gnm300", "arw", 1, 140, 4, "a3808447cb416897"),
+    ("gnm300", "arw", 2, 142, 5, "099f201d0fd7f902"),
+]
+
+
+@pytest.mark.parametrize("graph,algo,seed,size,points,digest", GOLDEN_TRAJECTORIES)
+def test_search_trajectory_golden(graph, algo, seed, size, points, digest):
+    if graph == "mesh30":
+        g = mesh_graph(random.Random(100), 30)
+    else:
+        g = gnm_graph(random.Random(300), 300, 600)
+    log = ConvergenceLog()
+    rng = random.Random(seed)
+    budget = Budget(iterations=300)
+    if algo == "onlinemis":
+        best = online_mis(g, 0.01, budget, rng, log)
+    elif algo == "kermis":
+        best = ker_mis(g, 0.01, budget, rng, log)
+    else:
+        best = plain_arw(g, budget, rng, log)
+    assert is_independent(g, best)
+    assert (len(best), len(log.points)) == (size, points)
+    got = hashlib.sha256(repr((sorted(best), log.points)).encode()).hexdigest()[:16]
+    assert got == digest
