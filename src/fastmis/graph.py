@@ -23,11 +23,16 @@ class GraphFormatError(ValueError):
 class Graph:
     """Undirected graph over integer ids with alive flags and live degrees.
 
+    ``live_degree[v]`` counts the alive neighbors of an alive ``v``, plus
+    the neighbors removed with ``update_degrees=False``, which stay
+    counted; :meth:`validate` checks both parts. Reductions and cutting
+    read live degrees, so they need a graph without such removals.
+
     Not thread-safe under mutation; independent runs must operate on
     independent copies (see :meth:`copy`).
     """
 
-    __slots__ = ("n", "adjacency", "alive", "live_degree", "next_id")
+    __slots__ = ("n", "adjacency", "alive", "live_degree", "next_id", "_counted_dead")
 
     def __init__(self, n: int) -> None:
         if n < 0:
@@ -37,6 +42,7 @@ class Graph:
         self.alive: list[bool] = [True] * n
         self.live_degree: list[int] = [0] * n
         self.next_id: int = n
+        self._counted_dead: list[int] = []
 
     # ------------------------------------------------------------------
     # queries
@@ -71,21 +77,27 @@ class Graph:
         """True if the closed live neighborhood of ``v`` induces a clique.
 
         ``max_degree`` short-circuits to False for higher-degree vertices,
-        which is what the degree-restricted online check needs.
+        which is what the degree-restricted online check needs. With it,
+        the live neighbors of ``v`` are counted from the adjacency list,
+        so the answer stays exact after removals that skipped the degree
+        update (see :meth:`remove_vertex`); neighbor degrees are then
+        upper bounds, which the clique test below only uses to reject.
         """
-        deg = self.live_degree[v]
-        if max_degree is not None and deg > max_degree:
-            return False
+        if max_degree is not None:
+            alive = self.alive
+            deg = 0
+            for u in self.adjacency[v]:
+                if alive[u]:
+                    deg += 1
+                    if deg > max_degree:
+                        return False
+        else:
+            deg = self.live_degree[v]
         if deg <= 1:
             return True
         if deg == 2:
-            alive = self.alive
-            first = -1
-            for u in self.adjacency[v]:
-                if alive[u]:
-                    if first >= 0:
-                        return self.has_live_edge(first, u)
-                    first = u
+            it = (u for u in self.adjacency[v] if self.alive[u])
+            return self.has_live_edge(next(it), next(it))
         nbrs = self.neighbors_live(v)
         # each neighbor must be adjacent to all the others; a merge scan over
         # the sorted lists counts shared members without building sets
@@ -126,14 +138,23 @@ class Graph:
     # ------------------------------------------------------------------
     # mutation
 
-    def remove_vertex(self, v: int) -> None:
-        alive = self.alive
-        if not alive[v]:
+    def remove_vertex(self, v: int, update_degrees: bool = True) -> None:
+        """Flip ``v`` dead and lower the live degree of its live neighbors.
+
+        With ``update_degrees=False`` only the flag flips, and the
+        neighbors' live degrees keep counting ``v``. That saves the scan of
+        the adjacency list for a caller that reads no live degree from
+        then on, such as the online search, whose commit check counts live
+        neighbors.
+        """
+        if not self.alive[v]:
             raise ValueError(f"vertex {v} is already removed")
-        alive[v] = False
+        self.alive[v] = False
+        if not update_degrees:
+            self._counted_dead.append(v)
+            return
+        alive = self.alive
         live_degree = self.live_degree
-        if live_degree[v] == 0:
-            return   # no live neighbor to update
         for u in self.adjacency[v]:
             if alive[u]:
                 live_degree[u] -= 1
@@ -201,11 +222,20 @@ class Graph:
         g.alive = list(self.alive)
         g.live_degree = list(self.live_degree)
         g.next_id = self.next_id
+        g._counted_dead = list(self._counted_dead)
         return g
 
     def validate(self) -> None:
-        """Full-rescan consistency check; raises AssertionError on damage."""
+        """Full-rescan consistency check; raises AssertionError on damage.
+
+        A live degree must count the alive neighbors plus the neighbors
+        removed without a degree update.
+        """
         assert len(self.adjacency) == len(self.alive) == len(self.live_degree) == self.next_id
+        counted_dead = set(self._counted_dead)
+        assert len(counted_dead) == len(self._counted_dead), "vertex removed twice"
+        assert not any(self.alive[v] for v in counted_dead), "counted dead vertex is alive"
+        total = 0
         for v in range(self.next_id):
             adj = self.adjacency[v]
             assert adj == sorted(adj), f"adjacency of {v} not sorted"
@@ -217,11 +247,12 @@ class Graph:
                 i = bisect_left(a, v)
                 assert i < len(a) and a[i] == v, f"asymmetric edge {v}-{u}"
             if self.alive[v]:
-                want = sum(1 for u in adj if self.alive[u])
+                live = sum(1 for u in adj if self.alive[u])
+                want = live + sum(1 for u in adj if u in counted_dead)
                 assert self.live_degree[v] == want, (
                     f"live_degree[{v}] = {self.live_degree[v]}, expected {want}"
                 )
-        total = sum(self.live_degree[v] for v in range(self.next_id) if self.alive[v])
+                total += live
         assert total % 2 == 0, "odd live degree sum"
 
 

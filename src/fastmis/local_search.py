@@ -14,7 +14,10 @@ every rng draw, set insertion and queue push happens in vertex-id order.
 
 In online mode every insertion first runs the cheap degree-<=2 clique
 check: vertices that pass are committed permanently and their
-neighborhoods leave the residual graph for good.
+neighborhoods leave the residual graph for good. The check counts live
+neighbors instead of reading ``live_degree``, so commits remove vertices
+without the degree update (``update_degrees=False``): after the first
+commit the graph's live degrees still count the removed vertices.
 """
 
 from __future__ import annotations
@@ -121,12 +124,14 @@ class Solution:
     :func:`find_one_two_swap`. Elsewhere a dead entry is harmless:
     :meth:`_base_insert` may raise a dead vertex's tightness, which
     nothing reads, and a solution member next to a live vertex is itself
-    alive.
+    alive. Only :func:`greedy_initial` reads live degrees, to bucket the
+    vertices before any commit.
 
     Best-set tracking journals every move since the last
-    :meth:`mark_best`. Past ``len(in_solution)`` entries the best set is
+    :meth:`mark_best`. :func:`run_iterated` calls :meth:`bound_journal`
+    once per iteration: past ``len(in_solution)`` entries the best set is
     snapshotted instead, and journaling pauses until the next mark, so
-    the journal stays within that bound.
+    the journal stays within that bound between iterations.
     """
 
     def __init__(self, graph: Graph, rng: random.Random, online: bool = False) -> None:
@@ -175,11 +180,8 @@ class Solution:
         in_solution = self.in_solution
         in_solution[v] = False
         self.size -= 1
-        journal = self._journal
-        if journal is not None:
-            journal.append((-1, v))
-            if len(journal) > len(in_solution):
-                self._snapshot_best()
+        if self._journal is not None:
+            self._journal.append((-1, v))
         self.clock += 1
         self.last_out[v] = self.clock
         self.non_solution.add(v)
@@ -219,11 +221,8 @@ class Solution:
     def _base_insert(self, v: int) -> None:
         self.in_solution[v] = True
         self.size += 1
-        journal = self._journal
-        if journal is not None:
-            journal.append((1, v))
-            if len(journal) > len(self.in_solution):
-                self._snapshot_best()
+        if self._journal is not None:
+            self._journal.append((1, v))
         free = self.free
         free.discard(v)
         self.non_solution.discard(v)
@@ -243,28 +242,21 @@ class Solution:
         g = self.graph
         self.in_solution[v] = True
         self.size += 1
-        journal = self._journal
-        if journal is not None:
-            journal.append((1, v))
-            if len(journal) > len(self.in_solution):
-                self._snapshot_best()
+        if self._journal is not None:
+            self._journal.append((1, v))
         self.committed[v] = True
         free = self.free
         non_solution = self.non_solution
         free.discard(v)
         non_solution.discard(v)
         alive = g.alive
-        left = g.live_degree[v]
         for u in g.adjacency[v]:
-            if not left:
-                break   # every live neighbor is gone; the rest are dead
             if alive[u]:
                 # u leaves the graph while outside the solution
-                g.remove_vertex(u)
+                g.remove_vertex(u, update_degrees=False)
                 free.discard(u)
                 non_solution.discard(u)
-                left -= 1
-        g.remove_vertex(v)
+        g.remove_vertex(v, update_degrees=False)
 
     def _enqueue(self, v: int) -> None:
         if not self._queued[v]:
@@ -295,11 +287,12 @@ class Solution:
             self._journal = []
             self._best = None
 
-    def _snapshot_best(self) -> None:
-        # the journal has outgrown the graph: keep the best set itself,
-        # at one O(n) pass per improvement at most
-        self._best = self.materialize_best()
-        self._journal = None
+    def bound_journal(self) -> None:
+        """Snapshot the best set once the journal outgrows the graph,
+        at one O(n) pass per improvement at most."""
+        if self._journal is not None and len(self._journal) > len(self.in_solution):
+            self._best = self.materialize_best()
+            self._journal = None
 
     def materialize_best(self) -> set[int]:
         """Solution as of the last mark_best, from the snapshot or
@@ -463,4 +456,5 @@ def run_iterated(g: Graph, sol: Solution, budget: Budget, log: ConvergenceLog,
             best_size = sol.size
             sol.mark_best()
             log.append(now(iteration), best_size + size_offset)
+        sol.bound_journal()
     return sol.materialize_best()

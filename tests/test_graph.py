@@ -177,3 +177,33 @@ def test_random_operation_sequences_keep_invariants():
             g.validate()
         total = sum(g.live_degree[v] for v in g.alive_vertices())
         assert total % 2 == 0
+
+
+def test_removal_without_degree_update_keeps_checks_exact():
+    rng = random.Random(12)
+    for _ in range(40):
+        g = er_graph(rng, rng.randrange(2, 16), rng.uniform(0.1, 0.7))
+        eager = g.copy()
+        for _ in range(rng.randrange(1, 8)):
+            alive = g.alive_vertices()
+            if not alive:
+                break
+            v = rng.choice(alive)
+            g.remove_vertex(v, update_degrees=rng.random() < 0.7)
+            eager.remove_vertex(v)
+            g.validate()
+            g.copy().validate()
+            for u in g.alive_vertices():
+                # the bounded clique check reads no live degree
+                assert g.is_simplicial(u, max_degree=2) == eager.is_simplicial(u, max_degree=2)
+                assert g.neighbors_live(u) == eager.neighbors_live(u)
+
+
+def test_validate_counts_removals_without_degree_update():
+    g = star_graph(3)
+    g.remove_vertex(1, update_degrees=False)
+    assert g.live_degree[0] == 3
+    g.validate()
+    g._counted_dead.clear()   # lose the record: the centre's degree is now wrong
+    with pytest.raises(AssertionError):
+        g.validate()
