@@ -4,11 +4,13 @@ Vertex ids are dense integers. Ids below ``n`` come from the input; ids at
 or above ``n`` are created later by reductions (folding, gadget insertion)
 and are appended so input ids stay stable for solution reporting. Removing
 a vertex flips an ``alive`` flag instead of rewriting adjacency lists.
-Reductions and cutting ask :meth:`Graph.neighbors_live`, which filters
-dead entries on the fly; the local search walks ``adjacency`` in place
-and checks ``alive`` inline where a dead entry matters. Adjacency lists
-are kept sorted so clique and twin checks can merge-scan them in linear
-time, and so the search visits neighbors in a fixed order.
+:meth:`Graph.neighbors_live` filters dead entries into a fresh list; the
+hot scans (the local search, :meth:`Graph.is_simplicial`, and the LP,
+unconfined and alternative rules) walk ``adjacency`` in place instead and
+check ``alive`` inline. Cutting and the rest of the rules ask
+``neighbors_live``. Adjacency lists are kept sorted so edge tests can
+bisect them, twin signatures compare equal, and every scan visits
+neighbors in a fixed order.
 """
 
 from __future__ import annotations
@@ -83,10 +85,12 @@ class Graph:
         update (see :meth:`remove_vertex`); neighbor degrees are then
         upper bounds, which the clique test below only uses to reject.
         """
+        alive = self.alive
+        adjacency = self.adjacency
+        adj_v = adjacency[v]
         if max_degree is not None:
-            alive = self.alive
             deg = 0
-            for u in self.adjacency[v]:
+            for u in adj_v:
                 if alive[u]:
                     deg += 1
                     if deg > max_degree:
@@ -95,33 +99,38 @@ class Graph:
             deg = self.live_degree[v]
         if deg <= 1:
             return True
-        if deg == 2:
-            it = (u for u in self.adjacency[v] if self.alive[u])
-            return self.has_live_edge(next(it), next(it))
-        nbrs = self.neighbors_live(v)
-        # each neighbor must be adjacent to all the others; a merge scan over
-        # the sorted lists counts shared members without building sets
-        for a in nbrs:
-            if self.live_degree[a] < deg - 1:
-                return False
-            needed = deg - 1
-            adj_a = self.adjacency[a]
-            i = j = 0
-            hits = 0
-            while i < len(nbrs) and j < len(adj_a):
-                x, y = nbrs[i], adj_a[j]
-                if x == y:
-                    if x != a:
-                        hits += 1
-                    i += 1
-                    j += 1
-                elif x < y:
-                    i += 1
+        # the first two live neighbors must be adjacent; on a sparse graph
+        # this rejects almost every vertex before any other neighbor is read
+        first = -1
+        for u in adj_v:
+            if alive[u]:
+                if first < 0:
+                    first = u
                 else:
-                    j += 1
-            if hits < needed:
+                    second = u
+                    break
+        if not self.has_live_edge(first, second):
+            return False
+        if deg == 2:
+            return True
+        nbrs = [u for u in adj_v if alive[u]]
+        live_degree = self.live_degree
+        for a in nbrs:
+            if live_degree[a] < deg - 1:
                 return False
-        return True
+        return self.first_non_edge(nbrs) is None
+
+    def first_non_edge(self, vertices: list[int]) -> tuple[int, int] | None:
+        """First non-adjacent pair of the sorted alive ``vertices``, in
+        lexicographic order, or None if they form a clique."""
+        adjacency = self.adjacency
+        for i, a in enumerate(vertices):
+            adj_a = adjacency[a]
+            for b in vertices[i + 1:]:
+                j = bisect_left(adj_a, b)
+                if j == len(adj_a) or adj_a[j] != b:
+                    return a, b
+        return None
 
     def edges(self) -> list[tuple[int, int]]:
         """Live edges as sorted (u, v) pairs with u < v."""

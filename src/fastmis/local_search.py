@@ -135,6 +135,24 @@ class Solution:
     """
 
     def __init__(self, graph: Graph, rng: random.Random, online: bool = False) -> None:
+        self._setup(graph, rng, online)
+        free = self.free
+        for v in self.non_solution.items:
+            free.add(v)
+
+    @classmethod
+    def _for_greedy(cls, graph: Graph, rng: random.Random, online: bool) -> Solution:
+        """An empty solution whose free set starts empty too.
+
+        :func:`greedy_initial` never reads the free set, and every alive
+        vertex leaves it during the pass, so filling it first would only
+        be undone; the set is exact again once the pass ends.
+        """
+        sol = cls.__new__(cls)
+        sol._setup(graph, rng, online)
+        return sol
+
+    def _setup(self, graph: Graph, rng: random.Random, online: bool) -> None:
         capacity = graph.next_id
         self.graph = graph
         self.rng = rng
@@ -152,7 +170,6 @@ class Solution:
         self._journal: list[tuple[int, int]] | None = None
         self._best: set[int] | None = None
         for v in graph.alive_vertices():
-            self.free.add(v)
             self.non_solution.add(v)
 
     # ------------------------------------------------------------------
@@ -316,7 +333,7 @@ def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Soluti
     start; picks that stopped being free are discarded lazily. In online
     mode every pick runs through the commit check.
     """
-    sol = Solution(g, rng, online=online)
+    sol = Solution._for_greedy(g, rng, online)
     vertices = g.alive_vertices()
     if vertices:
         top = max(g.live_degree[v] for v in vertices)

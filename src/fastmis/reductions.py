@@ -8,6 +8,14 @@ input graph (:func:`lift_solution`). Every rule has the signature
 constraints, which are always tracked. :func:`kernelize` runs an enabled
 subset of rules to a fixpoint, cheapest rules first.
 
+Rules do not commute, so which vertices a rule takes, and in what order,
+decides the kernel. A faster rewrite of a scan may therefore not change
+any decision: the same vertices in the same order, the same undo records
+and the same lifted solutions. ``test_kernelize_golden`` pins digests of
+the undo log, the kernel's alive set and its edge list to enforce that.
+The expensive scans (LP, unconfined, simplicial, alternative) walk the
+adjacency lists in place instead of copying live neighbor lists.
+
 Rule catalogue
 --------------
 pendant      degree-1 vertex taken into the solution, neighbor dropped.
@@ -292,31 +300,51 @@ def reduce_unconfined(g: Graph, stack: ReductionStack) -> int:
 
 
 def _is_unconfined(g: Graph, v: int) -> bool:
+    """Grow a witness set S from {v}; ``v`` is unconfined once some
+    boundary vertex with exactly one neighbor in S has no neighbor
+    outside N[S].
+
+    While no such vertex exists, S grows by the single outside neighbor
+    of the lowest-id boundary vertex that has exactly one neighbor in S
+    and one outside N[S]; without one, ``v`` is confined. Each boundary
+    vertex costs one walk of its adjacency list, cut short once it has
+    two neighbors in S or two outside N[S].
+    """
+    adjacency = g.adjacency
+    alive = g.alive
     witness = {v}
-    closed = {v} | set(g.neighbors_live(v))
+    closed = {u for u in adjacency[v] if alive[u]}   # N[S]
+    closed.add(v)
     while True:
-        boundary = sorted({
-            u
-            for s in witness
-            for u in g.neighbors_live(s)
-            if u not in witness
-        })
-        best_extra: set[int] | None = None
-        for u in boundary:
-            nbrs_u = g.neighbors_live(u)
-            if sum(1 for x in nbrs_u if x in witness) != 1:
+        grow_from = -1   # lowest boundary vertex with one outside neighbor
+        for u in closed:
+            if u in witness:
                 continue
-            extra = {x for x in nbrs_u if x not in closed}
-            if best_extra is None or len(extra) < len(best_extra):
-                best_extra = extra
-                if not extra:
+            inside = outside = 0
+            for x in adjacency[u]:
+                if not alive[x]:
+                    continue
+                if x in witness:
+                    inside += 1
+                    if inside > 1:
+                        break
+                elif x not in closed:
+                    outside += 1
+                    if outside > 1:
+                        break
+                    out = x
+            else:
+                # u has exactly one neighbor in S, as a boundary vertex
+                if outside == 0:
                     return True
-        if best_extra is None or len(best_extra) > 1:
+                if grow_from < 0 or u < grow_from:
+                    grow_from = u
+                    grow = out
+        if grow_from < 0:
             return False
-        w = next(iter(best_extra))
-        witness.add(w)
-        closed.add(w)
-        closed.update(g.neighbors_live(w))
+        witness.add(grow)
+        closed.add(grow)
+        closed.update(u for u in adjacency[grow] if alive[u])
 
 
 def reduce_twin(g: Graph, stack: ReductionStack) -> int:
@@ -380,8 +408,10 @@ def reduce_alternative(g: Graph, stack: ReductionStack) -> int:
 
 def _apply_funnels(g: Graph, stack: ReductionStack) -> int:
     count = 0
+    alive = g.alive
+    live_degree = g.live_degree
     for v in g.alive_vertices():
-        if not g.alive[v] or g.live_degree[v] == 0:
+        if not alive[v] or live_degree[v] == 0:
             continue
         u = _funnel_partner(g, v)
         if u is None:
@@ -410,33 +440,29 @@ def _apply_funnels(g: Graph, stack: ReductionStack) -> int:
 def _funnel_partner(g: Graph, v: int) -> int | None:
     """Neighbor ``u`` such that N(v) minus ``u`` induces a clique, if any.
 
-    Every non-adjacent pair inside N(v) must involve the same vertex;
-    degree-sorted prefilters keep this cheap on hub vertices.
+    Every non-adjacent pair inside N(v) must involve the same vertex, so
+    only the two ends of the first such pair are candidates; a degree
+    prefilter keeps this cheap on hub vertices.
     """
-    nbrs = g.neighbors_live(v)
+    adjacency = g.adjacency
+    alive = g.alive
+    live_degree = g.live_degree
+    nbrs = [x for x in adjacency[v] if alive[x]]
     deg = len(nbrs)
     if deg == 1:
         return nbrs[0]
-    if sorted(g.live_degree[x] for x in nbrs)[1] < deg - 2:
-        return None   # second-smallest degree cannot support the clique
-    first_pair: tuple[int, int] | None = None
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if not g.has_live_edge(a, b):
-                first_pair = (a, b)
-                break
-        if first_pair:
-            break
+    low = deg - 2
+    short = 0
+    for x in nbrs:
+        if live_degree[x] < low:
+            short += 1
+            if short == 2:
+                return None   # second-smallest degree cannot support the clique
+    first_pair = g.first_non_edge(nbrs)
     if first_pair is None:
         return nbrs[0]   # whole neighborhood is a clique; any split works
     for u in first_pair:
-        others = [x for x in nbrs if x != u]
-        ok = all(
-            g.has_live_edge(a, b)
-            for i, a in enumerate(others)
-            for b in others[i + 1:]
-        )
-        if ok:
+        if g.first_non_edge([x for x in nbrs if x != u]) is None:
             return u
     return None
 
@@ -445,28 +471,34 @@ def _apply_four_cycles(g: Graph, stack: ReductionStack) -> int:
     # both cycle pairs must keep at most 2 outside neighbors, so every
     # participant has degree 3 or 4
     count = 0
+    alive = g.alive
+    live_degree = g.live_degree
     for a1 in g.alive_vertices():
-        if not g.alive[a1] or g.live_degree[a1] not in (3, 4):
+        if not alive[a1] or live_degree[a1] not in (3, 4):
             continue
         count += _four_cycle_at(g, stack, a1)
     return count
 
 
 def _four_cycle_at(g: Graph, stack: ReductionStack, a1: int) -> int:
+    # nothing changes before a firing returns, so the lists read here
+    # stay exact; a live x is in a list with dead entries iff adjacent
+    adjacency = g.adjacency
+    alive = g.alive
+    live_degree = g.live_degree
+    a1_nbrs = [x for x in adjacency[a1] if alive[x]]
     seen_partners: set[int] = set()
-    for b in g.neighbors_live(a1):
-        if g.live_degree[b] < 3:
+    for b in a1_nbrs:
+        if live_degree[b] < 3:
             continue
-        for a2 in g.neighbors_live(b):
-            if a2 <= a1 or a2 in seen_partners:
+        for a2 in adjacency[b]:
+            if a2 <= a1 or not alive[a2] or a2 in seen_partners:
                 continue
-            if g.live_degree[a2] not in (3, 4) or g.has_live_edge(a1, a2):
+            if live_degree[a2] not in (3, 4) or a2 in a1_nbrs:
                 continue
             seen_partners.add(a2)
-            common = [
-                x for x in g.neighbors_live(a1)
-                if g.has_live_edge(x, a2) and g.live_degree[x] >= 3
-            ]
+            adj_a2 = adjacency[a2]
+            common = [x for x in a1_nbrs if x in adj_a2 and live_degree[x] >= 3]
             for i, b1 in enumerate(common):
                 for b2 in common[i + 1:]:
                     if g.has_live_edge(b1, b2):
@@ -535,8 +567,12 @@ def lp_relaxation_values(g: Graph) -> dict[int, float]:
     k = len(vertices)
     if k == 0:
         return {}
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = [[index[u] for u in g.neighbors_live(v)] for v in vertices]
+    index = [-1] * g.next_id
+    for i, v in enumerate(vertices):
+        index[v] = i
+    adjacency = g.adjacency
+    alive = g.alive
+    adj = [[index[u] for u in adjacency[v] if alive[u]] for v in vertices]
     match_l, match_r = _hopcroft_karp(adj)
 
     # residual arcs: Li -> Rj for every edge, Rj -> Li on matched pairs.
@@ -600,94 +636,100 @@ def _round_middle(adj, match_r, side, k) -> None:
 
     Components are processed successors-first; a component joins the
     source side when its successors allow it and its mirror has not,
-    which yields integral values for every mirror-split vertex.
+    which yields integral values for every mirror-split vertex. Each
+    choice is written to ``side`` at once: a successor outside the
+    component is decided already, and a later component reads as 0.
     """
     middle = [x for x in range(2 * k) if side[x] == 0]
     if not middle:
         return
-
-    def successors(x):
+    # residual arcs inside the middle: Li -> Rj per edge, Rj -> Li matched;
+    # lists only for the middle, which can be a small part of 2k nodes
+    succ: list[list[int] | None] = [None] * (2 * k)
+    for x in middle:
         if x < k:
-            for j in adj[x]:
-                yield k + j
+            succ[x] = [k + j for j in adj[x] if side[k + j] == 0]
         else:
             i = match_r[x - k]
-            if i != -1:
-                yield i
+            succ[x] = [i] if i != -1 and side[i] == 0 else []
 
-    comp = _tarjan_scc(middle, successors, 2 * k)
-    decided: dict[int, int] = {}
-    for members in comp:   # emission order is successors-first
+    for members in _tarjan_scc(middle, succ, 2 * k):
+        # members read 0 until decided, so a -1 or +1 is always outside
         can_source = True
         mirror_on_source = False
-        comp_set = set(members)
         for x in members:
-            for y in successors(x):
-                if y in comp_set:
-                    continue
-                if side[y] == -1 or decided.get(y, 0) == -1:
-                    can_source = False
-            mirror = x + k if x < k else x - k
-            if mirror in comp_set:
-                continue
-            if side[mirror] == 1 or decided.get(mirror, 0) == 1:
+            if can_source:
+                if x < k:
+                    for j in adj[x]:
+                        if side[k + j] == -1:
+                            can_source = False
+                            break
+                else:
+                    i = match_r[x - k]
+                    if i != -1 and side[i] == -1:
+                        can_source = False
+            if side[x + k if x < k else x - k] == 1:
                 mirror_on_source = True
         choice = 1 if (can_source and not mirror_on_source) else -1
         for x in members:
-            decided[x] = choice
-    for x, s in decided.items():
-        side[x] = s
+            side[x] = choice
 
 
-def _tarjan_scc(nodes, successors, limit):
-    """Iterative Tarjan over a node subset; components emitted successors-first."""
-    node_set = set(nodes)
-    order = [0] * limit
+def _tarjan_scc(nodes, succ, limit):
+    """Iterative Tarjan over ``nodes``, whose successor lists ``succ``
+    stay inside the set; components are emitted successors-first.
+
+    Each node keeps a pointer into its successor list, so resuming a
+    node after a child returns costs no iterator or list copy.
+    """
+    order = [0] * limit   # 0: not visited yet
     low = [0] * limit
+    ptr = [0] * limit
     on_stack = [False] * limit
-    visited = [False] * limit
     counter = 1
     stack: list[int] = []
     components: list[list[int]] = []
     for root in nodes:
-        if visited[root]:
+        if order[root]:
             continue
-        work = [(root, iter([s for s in successors(root) if s in node_set]))]
-        visited[root] = True
         order[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack[root] = True
+        work = [root]
         while work:
-            x, it = work[-1]
-            advanced = False
-            for y in it:
-                if not visited[y]:
-                    visited[y] = True
+            x = work[-1]
+            sx = succ[x]
+            end = len(sx)
+            i = ptr[x]
+            while i < end:
+                y = sx[i]
+                i += 1
+                if not order[y]:
+                    ptr[x] = i
                     order[y] = low[y] = counter
                     counter += 1
                     stack.append(y)
                     on_stack[y] = True
-                    work.append((y, iter([s for s in successors(y) if s in node_set])))
-                    advanced = True
+                    work.append(y)
                     break
-                if on_stack[y]:
-                    low[x] = min(low[x], order[y])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                px = work[-1][0]
-                low[px] = min(low[px], low[x])
-            if low[x] == order[x]:
-                members = []
-                while True:
-                    y = stack.pop()
-                    on_stack[y] = False
-                    members.append(y)
-                    if y == x:
-                        break
-                components.append(members)
+                if on_stack[y] and order[y] < low[x]:
+                    low[x] = order[y]
+            else:
+                work.pop()
+                if work:
+                    px = work[-1]
+                    if low[x] < low[px]:
+                        low[px] = low[x]
+                if low[x] == order[x]:
+                    members = []
+                    while True:
+                        y = stack.pop()
+                        on_stack[y] = False
+                        members.append(y)
+                        if y == x:
+                            break
+                    components.append(members)
     return components
 
 
@@ -696,8 +738,15 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
     k = len(adj)
     match_l = [-1] * k
     match_r = [-1] * k
-    INF = float("inf")
-    dist = [INF] * k
+    dist = [-1] * k   # BFS layer of a left copy; -1 outside the layering
+    # the first phase, with every left copy free at layer 0, can only
+    # match each left copy in turn to its first free right copy
+    for i in range(k):
+        for j in adj[i]:
+            if match_r[j] == -1:
+                match_l[i] = j
+                match_r[j] = i
+                break
     while True:
         queue = []
         for i in range(k):
@@ -705,18 +754,16 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
                 dist[i] = 0
                 queue.append(i)
             else:
-                dist[i] = INF
+                dist[i] = -1
         found = False
-        head = 0
-        while head < len(queue):
-            i = queue[head]
-            head += 1
+        for i in queue:   # grows while it is walked
+            d = dist[i] + 1
             for j in adj[i]:
                 nxt = match_r[j]
                 if nxt == -1:
                     found = True
-                elif dist[nxt] == INF:
-                    dist[nxt] = dist[i] + 1
+                elif dist[nxt] < 0:
+                    dist[nxt] = d
                     queue.append(nxt)
         if not found:
             break
@@ -728,9 +775,11 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
             frame = [(start, 0)]
             while frame:
                 i, ptr = frame.pop()
-                advanced = False
-                while ptr < len(adj[i]):
-                    j = adj[i][ptr]
+                adj_i = adj[i]
+                end = len(adj_i)
+                want = dist[i] + 1
+                while ptr < end:
+                    j = adj_i[ptr]
                     ptr += 1
                     nxt = match_r[j]
                     if nxt == -1:
@@ -738,19 +787,16 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
                         for a, b in path:
                             match_l[a] = b
                             match_r[b] = a
-                        dist[i] = INF
+                        dist[i] = -1
                         frame = []
-                        path = []
-                        advanced = True
                         break
-                    if dist[nxt] == dist[i] + 1:
+                    if dist[nxt] == want:
                         frame.append((i, ptr))
                         path.append((i, j))
                         frame.append((nxt, 0))
-                        advanced = True
                         break
-                if not advanced:
-                    dist[i] = INF
+                else:
+                    dist[i] = -1
                     if path:
                         path.pop()
     return match_l, match_r

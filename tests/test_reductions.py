@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,9 +9,12 @@ from fastmis.reductions import (
     ALL_RULES,
     KERMIS_RULES,
     ConstraintStore,
+    Fold,
     IncludeVertex,
     ReductionStack,
+    TwinGadget,
     _apply_four_cycles,
+    _is_unconfined,
     kernelize,
     lift_solution,
     lp_relaxation_values,
@@ -30,6 +34,7 @@ from util import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    double_cover_matching_size,
     empty_graph,
     er_graph,
     gnm_graph,
@@ -38,6 +43,7 @@ from util import (
     path_graph,
     random_tree,
     star_graph,
+    unconfined_reference,
 )
 
 
@@ -201,6 +207,22 @@ def test_lp_values_match_enumerated_optimum():
         assert sum(1 for x in values.values() if x == 0.5) == min_half
 
 
+@pytest.mark.parametrize("build", [
+    lambda: gnm_graph(random.Random(2000), 2000, 6000),
+    lambda: mesh_graph(random.Random(40), 40),
+], ids=["gnm2000", "mesh40"])
+def test_lp_values_certified_by_matching_at_scale(build):
+    # LP duality on the double cover: the relaxation's optimum is
+    # k - nu/2 for k vertices and a maximum matching of size nu
+    g = build()
+    values = lp_relaxation_values(g)
+    nu = double_cover_matching_size(g)
+    assert sum(values.values()) == g.alive_count() - nu / 2
+    for v, x in values.items():
+        if x == 1.0:
+            assert all(values[u] == 0.0 for u in g.neighbors_live(v)), v
+
+
 # ----------------------------------------------------------------------
 # unconfined
 
@@ -242,6 +264,41 @@ def test_unconfined_never_lowers_optimum():
         reduce_unconfined(g, stack)
         _, witness = exact_mis(g)
         assert len(lift_solution(stack, witness)) == opt
+
+
+def with_twin_patterns(g, anchors):
+    """``g`` plus, per anchor triple (p, q, r), degree-3 twins u, v over
+    an independent {x, y, z} whose outside contacts are p, q, r; the
+    twin rule replaces the five by a gadget adjacent to p, q, r."""
+    edges = g.edges()
+    n = g.n
+    for p, q, r in anchors:
+        u, v, x, y, z = range(n, n + 5)
+        edges += [(u, x), (u, y), (u, z), (v, x), (v, y), (v, z),
+                  (x, p), (y, q), (z, r)]
+        n += 5
+    return load(edges, n)
+
+
+def test_unconfined_scan_matches_set_based_reference():
+    # graphs that already carry dead vertices, folded vertices and twin
+    # gadgets, so the scan meets dead entries and late ids in every list
+    mesh = mesh_graph(random.Random(100), 30)
+    rows = range(5, 30, 4)
+    mesh = with_twin_patterns(mesh, [(30 * i + 5, 30 * i + 15, 30 * i + 25) for i in rows])
+    gnm = gnm_graph(random.Random(300), 300, 600)
+    gadgets = folded = 0
+    for g in (mesh, gnm):
+        n = g.n
+        result = kernelize(g, rules={"pendant", "fold", "twin"})
+        assert g.alive_count() < n
+        folded += sum(1 for e in result.stack.entries
+                      if isinstance(e, Fold) and g.alive[e.merged])
+        gadgets += sum(1 for e in result.stack.entries
+                       if isinstance(e, TwinGadget) and g.alive[e.gadget])
+        for v in g.alive_vertices():
+            assert _is_unconfined(g, v) == unconfined_reference(g, v), v
+    assert folded > 0 and gadgets > 0
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +545,10 @@ def test_kernelize_full_rule_set_exact_on_randoms():
 
 
 # Kernels recorded before the rules shared one state and one commit
-# path; any change to a rule's behaviour shows up here first.
+# path; any change to a rule's behaviour shows up here first. The
+# digests hash the undo log, the kernel's alive set and its edge list
+# (recorded before the rule scans were rewritten), so a rule that takes
+# other vertices, even as many of them, fails here too.
 GOLDEN_KERNELS = [
     ("mesh30", "all", {"pendant": 1, "isolated": 5, "fold": 40, "lp": 0,
                        "unconfined": 51, "twin": 0, "alternative": 22,
@@ -503,6 +563,22 @@ GOLDEN_KERNELS = [
                           "twin": 0, "alternative": 11, "packing": 0},
      89, 193, 102),
 ]
+GOLDEN_DIGESTS = {
+    ("mesh30", "all"): "4acabd38eec32fe8",
+    ("mesh30", "kermis"): "4021a8f82ae619c7",
+    ("gnm300", "all"): "c707ec75708d60c1",
+    ("gnm300", "kermis"): "c01fcae9229472d5",
+}
+
+
+def kernel_digest(g, result) -> str:
+    h = hashlib.sha256()
+    for entry in result.stack.entries:
+        h.update(repr(entry).encode())
+        h.update(b"\n")
+    h.update(repr(g.alive_vertices()).encode())
+    h.update(repr(g.edges()).encode())
+    return h.hexdigest()[:16]
 
 
 @pytest.mark.parametrize("graph,rules,counts,n,m,offset", GOLDEN_KERNELS)
@@ -514,3 +590,4 @@ def test_kernelize_golden(graph, rules, counts, n, m, offset):
     result = kernelize(g, rules=ALL_RULES if rules == "all" else KERMIS_RULES)
     assert result.per_rule_counts == counts
     assert (result.reduced_n, result.reduced_m, result.stack.offset) == (n, m, offset)
+    assert kernel_digest(g, result) == GOLDEN_DIGESTS[graph, rules]

@@ -179,3 +179,77 @@ def check_solution_state(sol) -> None:
         should_free = not sol.in_solution[v] and want == 0
         assert (v in sol.free) == should_free, f"free flag wrong at {v}"
         assert (v in sol.non_solution) == (not sol.in_solution[v])
+
+
+def unconfined_reference(g: Graph, v: int) -> bool:
+    """The set-based confinement loop: is ``v`` provably avoidable?
+
+    Grows the witness set S from {v}. Each round looks at the boundary
+    vertices with exactly one neighbor in S; one with no neighbor outside
+    N[S] proves ``v`` unconfined, and if the fewest such outside
+    neighbors is exactly one, that vertex joins S.
+    """
+    witness = {v}
+    closed = {v} | set(g.neighbors_live(v))
+    while True:
+        boundary = sorted({
+            u
+            for s in witness
+            for u in g.neighbors_live(s)
+            if u not in witness
+        })
+        best_extra: set[int] | None = None
+        for u in boundary:
+            nbrs_u = g.neighbors_live(u)
+            if sum(1 for x in nbrs_u if x in witness) != 1:
+                continue
+            extra = {x for x in nbrs_u if x not in closed}
+            if best_extra is None or len(extra) < len(best_extra):
+                best_extra = extra
+                if not extra:
+                    return True
+        if best_extra is None or len(best_extra) > 1:
+            return False
+        w = next(iter(best_extra))
+        witness.add(w)
+        closed.add(w)
+        closed.update(g.neighbors_live(w))
+
+
+def double_cover_matching_size(g: Graph) -> int:
+    """Maximum matching on the bipartite double cover, by one plain
+    augmenting-path search per left copy (Kuhn's algorithm)."""
+    vertices = g.alive_vertices()
+    adj = {v: g.neighbors_live(v) for v in vertices}
+    match_right: dict[int, int] = {}
+    size = 0
+    for root in vertices:
+        seen = set()
+        # iterative DFS; each frame is (left vertex, next neighbor index)
+        path: list[tuple[int, int]] = []
+        frames = [(root, 0)]
+        found = False
+        while frames and not found:
+            x, i = frames.pop()
+            while i < len(adj[x]):
+                y = adj[x][i]
+                i += 1
+                if y in seen:
+                    continue
+                seen.add(y)
+                if y not in match_right:
+                    path.append((x, y))
+                    found = True
+                    break
+                frames.append((x, i))
+                path.append((x, y))
+                frames.append((match_right[y], 0))
+                break
+            else:
+                if path:
+                    path.pop()
+        if found:
+            for x, y in path:
+                match_right[y] = x
+            size += 1
+    return size
