@@ -5,9 +5,9 @@ or above ``n`` are created later by reductions (folding, gadget insertion)
 and are appended so input ids stay stable for solution reporting. Removing
 a vertex flips an ``alive`` flag instead of rewriting adjacency lists.
 :meth:`Graph.neighbors_live` filters dead entries into a fresh list; the
-hot scans (the local search, :meth:`Graph.is_simplicial`, and the LP,
-unconfined and alternative rules) walk ``adjacency`` in place instead and
-check ``alive`` inline. Cutting and the rest of the rules ask
+hot scans (the local search, :meth:`Graph.is_simplicial`, and the
+pendant, LP, unconfined and alternative rules) walk ``adjacency`` in place
+instead and check ``alive`` inline. Cutting and the rest of the rules ask
 ``neighbors_live``. Adjacency lists are kept sorted so edge tests can
 bisect them, twin signatures compare equal, and every scan visits
 neighbors in a fixed order.
@@ -28,7 +28,8 @@ class Graph:
     ``live_degree[v]`` counts the alive neighbors of an alive ``v``, plus
     the neighbors removed with ``update_degrees=False``, which stay
     counted; :meth:`validate` checks both parts. Reductions and cutting
-    read live degrees, so they need a graph without such removals.
+    read live degrees, so they need a graph without such removals
+    (:attr:`degrees_exact`).
 
     Not thread-safe under mutation; independent runs must operate on
     independent copies (see :meth:`copy`).
@@ -60,6 +61,12 @@ class Graph:
     def live_edge_count(self) -> int:
         alive = self.alive
         return sum(self.live_degree[v] for v in range(self.next_id) if alive[v]) // 2
+
+    @property
+    def degrees_exact(self) -> bool:
+        """True when no removal skipped the degree update, so every live
+        degree counts exactly the alive neighbors."""
+        return not self._counted_dead
 
     def neighbors_live(self, v: int) -> list[int]:
         """Alive neighbors of an alive vertex, sorted ascending."""

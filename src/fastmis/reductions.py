@@ -13,8 +13,10 @@ decides the kernel. A faster rewrite of a scan may therefore not change
 any decision: the same vertices in the same order, the same undo records
 and the same lifted solutions. ``test_kernelize_golden`` pins digests of
 the undo log, the kernel's alive set and its edge list to enforce that.
-The expensive scans (LP, unconfined, simplicial, alternative) walk the
-adjacency lists in place instead of copying live neighbor lists.
+The pendant rule and the expensive scans (LP, unconfined, simplicial,
+alternative) walk the adjacency lists in place instead of copying live
+neighbor lists. Every rule reads live degrees, so :func:`kernelize`
+refuses a graph with removals that skipped the degree update.
 
 Rule catalogue
 --------------
@@ -225,20 +227,39 @@ def _include_vertex(g: Graph, stack: ReductionStack, v: int) -> None:
 
 
 def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
-    """Take every degree-1 vertex into the solution, to a fixpoint."""
-    queue = [v for v in g.alive_vertices() if g.live_degree[v] == 1]
+    """Take every degree-1 vertex into the solution, to a fixpoint.
+
+    Each fire walks the adjacency list of the dropped neighbor ``u`` once,
+    in place: it lowers the live degrees there and queues every vertex
+    whose degree falls to 1. The lists are sorted, so the queue gets the
+    same vertices in the same order as a scan of u's live list after the
+    removal would give it.
+    """
+    adjacency = g.adjacency
+    alive = g.alive
+    live_degree = g.live_degree
+    store = stack.constraints
+    queue = [v for v in g.alive_vertices() if live_degree[v] == 1]
     count = 0
     while queue:
         v = queue.pop()
-        if not g.alive[v] or g.live_degree[v] != 1:
+        if not alive[v] or live_degree[v] != 1:
             continue
-        u = g.neighbors_live(v)[0]
-        second_ring = [x for x in g.neighbors_live(u) if x != v]
-        _include_vertex(g, stack, v)
+        for u in adjacency[v]:
+            if alive[u]:
+                break
+        stack.push_include(v)
+        store.note_include(v)
+        store.note_exclude(u)
+        alive[v] = False
+        alive[u] = False
+        live_degree[u] -= 1   # v was its live neighbor
+        for x in adjacency[u]:
+            if alive[x]:
+                live_degree[x] -= 1
+                if live_degree[x] == 1:
+                    queue.append(x)
         count += 1
-        for x in second_ring:
-            if g.alive[x] and g.live_degree[x] == 1:
-                queue.append(x)
     return count
 
 
@@ -841,6 +862,9 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
     unknown = enabled - ALL_RULES
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
+    if not g.degrees_exact:
+        raise ValueError("kernelize needs exact live degrees; the graph has "
+                         "removals made with update_degrees=False")
     # looked up at call time, so a rebound module global takes effect
     by_name = {
         "pendant": reduce_pendant,

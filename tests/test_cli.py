@@ -68,6 +68,36 @@ def test_read_metis_rejects_weighted_format(tmp_path):
         read_metis(write(tmp_path / "w.metis", "2 1 11\n2 5\n1 5\n"))
 
 
+def parse_error(path) -> str:
+    with pytest.raises(ParseError) as info:
+        read_metis(path)
+    return str(info.value)
+
+
+def test_read_metis_rejects_duplicate_neighbors(tmp_path):
+    # the comment shifts file lines against vertex lines
+    path = write(tmp_path / "d.metis", "% c\n3 2\n2\n1 3 3\n2\n")
+    assert parse_error(path) == f"{path}:4: duplicate neighbors on vertex 2"
+
+
+def test_read_metis_rejects_bad_token(tmp_path):
+    path = write(tmp_path / "t.metis", "3 2\n2\n1 x\n2\n")
+    assert parse_error(path) == f"{path}:3: bad neighbor token 'x'"
+
+
+def test_read_metis_rejects_too_few_vertex_lines(tmp_path):
+    # a missing line has no line number; the message counts the lines
+    path = write(tmp_path / "f.metis", "3 1\n2\n1\n")
+    assert parse_error(path) == f"{path}: expected 3 vertex lines, found 2"
+
+
+def test_read_metis_rejects_malformed_header(tmp_path):
+    path = write(tmp_path / "h.metis", "% c\n3\n2\n1 3\n2\n")
+    assert parse_error(path) == f"{path}:2: header must be 'n m [fmt]'"
+    path = write(tmp_path / "n.metis", "3 two\n2\n1 3\n2\n")
+    assert parse_error(path).startswith(f"{path}:1: invalid literal for int()")
+
+
 def test_metis_round_trip(tmp_path):
     rng = random.Random(7)
     for i in range(15):

@@ -29,6 +29,7 @@ from fastmis.reductions import (
 )
 
 from util import (
+    ba_graph,
     brute_lp_optima,
     brute_mis_size,
     complete_bipartite,
@@ -41,6 +42,7 @@ from util import (
     is_independent,
     mesh_graph,
     path_graph,
+    pendant_reference,
     random_tree,
     star_graph,
     unconfined_reference,
@@ -85,6 +87,32 @@ def test_pendant_no_op_on_cycle():
     stack = ReductionStack(g)
     assert reduce_pendant(g, stack) == 0
     assert g.alive_count() == 4
+
+
+def test_pendant_matches_copying_reference():
+    # trees and hub graphs cascade; the partly folded G(n, m) carries dead
+    # ids and fresh fold ids in the adjacency lists the rule walks
+    rng = random.Random(71)
+    graphs = [random_tree(rng, rng.randrange(2, 300)) for _ in range(8)]
+    graphs += [ba_graph(random.Random(seed), 600, attach=(1, 2, 4, 8))
+               for seed in (72, 73, 74)]
+    for seed in (75, 76):
+        g = gnm_graph(random.Random(seed), 300, 600)
+        kernelize(g, rules={"fold"})
+        assert g.next_id > g.n and g.alive_count() < g.n
+        graphs.append(g)
+    fired = 0
+    for g in graphs:
+        ref = g.copy()
+        stack, ref_stack = ReductionStack(g), ReductionStack(ref)
+        count = reduce_pendant(g, stack)
+        assert count == pendant_reference(ref, ref_stack)
+        assert repr(stack.entries) == repr(ref_stack.entries)
+        assert g.alive == ref.alive
+        assert g.live_degree == ref.live_degree
+        g.validate()
+        fired += count
+    assert fired > 500
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +509,19 @@ def test_kernelize_rejects_unknown_rule():
         kernelize(empty_graph(1), rules={"pendant", "mystery"})
 
 
+def test_kernelize_rejects_stale_live_degrees():
+    # a removal without the degree update leaves vertex 2 counting the
+    # dead vertex 1; rules would read that degree as if it were exact
+    g = path_graph(4)
+    g.remove_vertex(1, update_degrees=False)
+    with pytest.raises(ValueError, match="exact live degrees"):
+        kernelize(g, rules=ALL_RULES)
+    assert g.alive == [True, False, True, True]
+    g = path_graph(4)
+    g.remove_vertex(1)
+    assert kernelize(g, rules=ALL_RULES).reduced_n == 0
+
+
 def test_kernelize_deterministic():
     rng = random.Random(59)
     for _ in range(20):
@@ -547,7 +588,8 @@ def test_kernelize_full_rule_set_exact_on_randoms():
 # Kernels recorded before the rules shared one state and one commit
 # path; any change to a rule's behaviour shows up here first. The
 # digests hash the undo log, the kernel's alive set and its edge list
-# (recorded before the rule scans were rewritten), so a rule that takes
+# (recorded before the rule scans were rewritten; the ba2000 cases before
+# the pendant rule walked adjacency lists in place), so a rule that takes
 # other vertices, even as many of them, fails here too.
 GOLDEN_KERNELS = [
     ("mesh30", "all", {"pendant": 1, "isolated": 5, "fold": 40, "lp": 0,
@@ -562,12 +604,21 @@ GOLDEN_KERNELS = [
     ("gnm300", "kermis", {"pendant": 23, "fold": 60, "lp": 8, "unconfined": 15,
                           "twin": 0, "alternative": 11, "packing": 0},
      89, 193, 102),
+    # a hub graph on which the pendant rule fires hundreds of times
+    ("ba2000", "all", {"pendant": 816, "isolated": 196, "fold": 68, "lp": 0,
+                       "unconfined": 0, "twin": 0, "alternative": 0,
+                       "packing": 0}, 0, 0, 1080),
+    ("ba2000", "kermis", {"pendant": 816, "fold": 87, "lp": 184, "unconfined": 10,
+                          "twin": 0, "alternative": 0, "packing": 0},
+     0, 0, 1080),
 ]
 GOLDEN_DIGESTS = {
     ("mesh30", "all"): "4acabd38eec32fe8",
     ("mesh30", "kermis"): "4021a8f82ae619c7",
     ("gnm300", "all"): "c707ec75708d60c1",
     ("gnm300", "kermis"): "c01fcae9229472d5",
+    ("ba2000", "all"): "0b625583ea2e362f",
+    ("ba2000", "kermis"): "33e9e00fe304f955",
 }
 
 
@@ -585,8 +636,10 @@ def kernel_digest(g, result) -> str:
 def test_kernelize_golden(graph, rules, counts, n, m, offset):
     if graph == "mesh30":
         g = mesh_graph(random.Random(100), 30)
-    else:
+    elif graph == "gnm300":
         g = gnm_graph(random.Random(300), 300, 600)
+    else:
+        g = ba_graph(random.Random(500), 2000, attach=(1, 2, 4, 8))
     result = kernelize(g, rules=ALL_RULES if rules == "all" else KERMIS_RULES)
     assert result.per_rule_counts == counts
     assert (result.reduced_n, result.reduced_m, result.stack.offset) == (n, m, offset)

@@ -216,6 +216,33 @@ def unconfined_reference(g: Graph, v: int) -> bool:
         closed.update(g.neighbors_live(w))
 
 
+def pendant_reference(g: Graph, stack) -> int:
+    """The pendant rule with live-list copies: per fire it lists the live
+    neighbor ``u`` of the degree-1 vertex ``v`` and the other live
+    neighbors of ``u``, commits ``v``, drops ``u`` through
+    :meth:`Graph.remove_vertex`, and queues those of the listed vertices
+    whose degree fell to 1."""
+    store = stack.constraints
+    queue = [v for v in g.alive_vertices() if g.live_degree[v] == 1]
+    count = 0
+    while queue:
+        v = queue.pop()
+        if not g.alive[v] or g.live_degree[v] != 1:
+            continue
+        [u] = g.neighbors_live(v)
+        second_ring = [x for x in g.neighbors_live(u) if x != v]
+        stack.push_include(v)
+        store.note_include(v)
+        g.remove_vertex(v)
+        store.note_exclude(u)
+        g.remove_vertex(u)
+        count += 1
+        for x in second_ring:
+            if g.alive[x] and g.live_degree[x] == 1:
+                queue.append(x)
+    return count
+
+
 def double_cover_matching_size(g: Graph) -> int:
     """Maximum matching on the bipartite double cover, by one plain
     augmenting-path search per left copy (Kuhn's algorithm)."""
