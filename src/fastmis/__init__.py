@@ -5,7 +5,7 @@ swap-based iterated local search, composed into online and
 kernel-first pipelines, with an exact oracle and benchmarking metrics.
 """
 
-from .cut import cut_absolute, cut_relative, cut_snapshot_top
+from .cut import cut_relative, cut_snapshot_top
 from .graph import Graph, GraphFormatError, load
 from .local_search import (
     Budget,
@@ -17,7 +17,7 @@ from .local_search import (
     run_iterated,
     sample_force_count,
 )
-from .metrics import ConvergenceLog, average_logs, max_speedup, time_to_size
+from .metrics import ConvergenceLog, max_speedup, time_to_size
 from .oracle import enumerate_swaps, exact_mis
 from .pipelines import ker_mis, online_mis, plain_arw
 from .reductions import (
@@ -42,8 +42,6 @@ __all__ = [
     "PerturbationParams",
     "ReductionStack",
     "Solution",
-    "average_logs",
-    "cut_absolute",
     "cut_relative",
     "cut_snapshot_top",
     "enumerate_swaps",

@@ -35,22 +35,23 @@ class ParseError(ValueError):
 
 def read_metis(path) -> Graph:
     """Parse the adjacency format: header ``n m [fmt]`` then one
-
     1-indexed neighbor line per vertex. ``%`` lines are comments. The
     parser is strict: indexes out of range, self-loops, duplicate or
     asymmetric entries, and edge-count mismatches all fail with the
     offending line number.
+
+    Every line is parsed and checked in bulk; only a line that fails is
+    scanned token by token, to word its first fault.
     """
-    data: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if raw.lstrip().startswith("%"):
-                continue
-            data.append((lineno, raw.strip()))
-    if not data:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    linenos = [i for i, raw in enumerate(lines, start=1) if not raw.lstrip().startswith("%")]
+    if not linenos:
         raise ParseError(f"{path}: empty file")
-    header_line, header = data[0]
-    parts = header.split()
+    header_line = linenos[0]
+    parts = lines[header_line - 1].split()
     if len(parts) not in (2, 3):
         raise ParseError(f"{path}:{header_line}: header must be 'n m [fmt]'")
     try:
@@ -60,44 +61,61 @@ def read_metis(path) -> Graph:
         raise ParseError(f"{path}:{header_line}: {exc}") from exc
     if fmt != 0:
         raise ParseError(f"{path}:{header_line}: weighted format {fmt} is unsupported")
-    body = data[1:]
-    while body and len(body) > n and body[-1][1] == "":
-        body.pop()
-    if len(body) != n:
-        raise ParseError(f"{path}: expected {n} vertex lines, found {len(body)}")
+    linenos = linenos[1:]
+    while linenos and len(linenos) > n and not lines[linenos[-1] - 1].strip():
+        linenos.pop()
+    if len(linenos) != n:
+        raise ParseError(f"{path}: expected {n} vertex lines, found {len(linenos)}")
+    to_index = (-1).__add__
     adjacency: list[list[int]] = []
-    for v, (lineno, line) in enumerate(body):
-        nbrs = []
-        for token in line.split():
-            try:
-                u = int(token)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad neighbor token {token!r}") from exc
-            if not 1 <= u <= n:
-                raise ParseError(f"{path}:{lineno}: neighbor {u} outside 1..{n}")
-            if u == v + 1:
-                raise ParseError(f"{path}:{lineno}: self-loop at vertex {v + 1}")
-            nbrs.append(u - 1)
-        if len(nbrs) != len(set(nbrs)):
-            raise ParseError(f"{path}:{lineno}: duplicate neighbors on vertex {v + 1}")
-        adjacency.append(sorted(nbrs))
-    sets = [set(a) for a in adjacency]
-    for v, (lineno, _) in enumerate(body):
-        for u in adjacency[v]:
-            if v not in sets[u]:
-                raise ParseError(
-                    f"{path}:{lineno}: vertex {v + 1} lists {u + 1} but not vice versa"
-                )
-    total = sum(len(a) for a in adjacency)
+    append = adjacency.append
+    for v, lineno in enumerate(linenos):
+        line = lines[lineno - 1]
+        try:
+            nbrs = sorted(map(to_index, map(int, line.split())))
+        except ValueError:   # a bad token
+            nbrs = None
+        if nbrs is None or (nbrs and (nbrs[0] < 0 or nbrs[-1] >= n or v in nbrs
+                                      or len(set(nbrs)) != len(nbrs))):
+            raise ParseError(f"{path}:{lineno}: {_vertex_line_fault(line, v, n)}")
+        append(nbrs)
+    # walking the lists in vertex order fills each reverse list sorted, so
+    # the graph is symmetric exactly when the reverse lists equal the lists
+    reverse: list[list[int]] = [[] for _ in range(n)]
+    for v, nbrs in enumerate(adjacency):
+        for u in nbrs:
+            reverse[u].append(v)
+    if reverse != adjacency:
+        v, u = _first_asymmetry(adjacency)
+        raise ParseError(f"{path}:{linenos[v]}: vertex {v + 1} lists {u + 1} but not vice versa")
+    # symmetric and loop-free lists hold every edge twice
+    total = sum(map(len, adjacency))
     if total != 2 * m:
-        raise ParseError(
-            f"{path}:{header_line}: header claims {m} edges, lines hold {total // 2}"
-            + (".5" if total % 2 else "")
-        )
-    g = Graph(n)
-    g.adjacency = adjacency
-    g.live_degree = [len(a) for a in adjacency]
-    return g
+        raise ParseError(f"{path}:{header_line}: header claims {m} edges, lines hold {total // 2}")
+    return Graph.from_adjacency(adjacency)
+
+
+def _vertex_line_fault(line: str, v: int, n: int) -> str:
+    """The first fault on the neighbor line of vertex ``v``: a bad token, an
+    index outside 1..n or a self-loop, whichever comes first in token order;
+    failing those, a duplicate. Called only for a line that has a fault."""
+    for token in line.split():
+        try:
+            u = int(token)
+        except ValueError:
+            return f"bad neighbor token {token!r}"
+        if not 1 <= u <= n:
+            return f"neighbor {u} outside 1..{n}"
+        if u == v + 1:
+            return f"self-loop at vertex {v + 1}"
+    return f"duplicate neighbors on vertex {v + 1}"
+
+
+def _first_asymmetry(adjacency: list[list[int]]) -> tuple[int, int]:
+    """The first ``(v, u)`` in file order with ``u`` listed by ``v`` but not
+    ``v`` by ``u``; the lists must hold such a pair."""
+    sets = [set(a) for a in adjacency]
+    return next((v, u) for v, nbrs in enumerate(adjacency) for u in nbrs if v not in sets[u])
 
 
 def write_metis(g: Graph, path) -> None:

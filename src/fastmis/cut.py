@@ -1,10 +1,10 @@
 """Inexact preprocessing: remove high-degree vertices outright.
 
 Cutting trades a small amount of solution quality for a much friendlier
-search graph. Absolute cutting drops everything above a degree threshold
-in one snapshot pass; relative cutting repeatedly removes a current
+search graph. Relative cutting (``kermis``) repeatedly removes a current
 maximum-degree vertex (ties broken with the seeded rng), recomputing
-degrees after every removal like a reversed min-degree greedy.
+degrees after every removal like a reversed min-degree greedy; snapshot
+cutting (``onlinemis``) ranks degrees once and removes the top fraction.
 """
 
 from __future__ import annotations
@@ -13,16 +13,6 @@ import math
 import random
 
 from .graph import Graph
-
-
-def cut_absolute(g: Graph, threshold: int) -> list[int]:
-    """Remove every vertex whose degree exceeds ``threshold`` at call time."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    doomed = [v for v in g.alive_vertices() if g.live_degree[v] > threshold]
-    for v in doomed:
-        g.remove_vertex(v)
-    return doomed
 
 
 def cut_relative(g: Graph, fraction: float, rng: random.Random) -> list[int]:

@@ -47,6 +47,19 @@ class Graph:
         self.next_id: int = n
         self._counted_dead: list[int] = []
 
+    @classmethod
+    def from_adjacency(cls, adjacency: list[list[int]]) -> Graph:
+        """A fully alive graph that takes ``adjacency`` as it is, without a
+        copy or a check: the lists must be sorted, symmetric, loop-free and
+        without duplicates."""
+        g = cls.__new__(cls)
+        g.n = g.next_id = len(adjacency)
+        g.adjacency = adjacency
+        g.alive = [True] * g.n
+        g.live_degree = list(map(len, adjacency))
+        g._counted_dead = []
+        return g
+
     # ------------------------------------------------------------------
     # queries
 
@@ -91,6 +104,8 @@ class Graph:
         so the answer stays exact after removals that skipped the degree
         update (see :meth:`remove_vertex`); neighbor degrees are then
         upper bounds, which the clique test below only uses to reject.
+        Without it the degree of ``v`` is read, so the graph needs exact
+        live degrees (:attr:`degrees_exact`); ValueError otherwise.
         """
         alive = self.alive
         adjacency = self.adjacency
@@ -102,6 +117,9 @@ class Graph:
                     deg += 1
                     if deg > max_degree:
                         return False
+        elif self._counted_dead:
+            raise ValueError("is_simplicial without max_degree needs exact live degrees; "
+                             "the graph has removals made with update_degrees=False")
         else:
             deg = self.live_degree[v]
         if deg <= 1:

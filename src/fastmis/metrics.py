@@ -1,8 +1,8 @@
 """Convergence logs and the benchmarking arithmetic built on them.
 
 A run reports a (elapsed, solution size) tuple at every strict
-improvement; logs feed step-function averaging, time-to-target lookups,
-and the per-size maximum-speedup ratio used to compare algorithms.
+improvement; logs feed time-to-target lookups and the per-size
+maximum-speedup ratio used to compare algorithms.
 """
 
 from __future__ import annotations
@@ -31,33 +31,6 @@ class ConvergenceLog:
 
     def best_size(self) -> int:
         return self.points[-1][1] if self.points else 0
-
-
-def average_logs(logs: list[ConvergenceLog]) -> list[tuple[float, float]]:
-    """Step-function average sampled at the union of event times.
-
-    A run contributes 0 before its first reported point.
-    """
-    if not logs:
-        raise ValueError("need at least one log")
-    first = logs[0]
-    for log in logs[1:]:
-        if log.instance != first.instance or log.algorithm != first.algorithm:
-            raise ValueError("logs must share instance and algorithm")
-    times = sorted({t for log in logs for t, _ in log.points})
-    curve = []
-    for t in times:
-        total = 0
-        for log in logs:
-            value = 0
-            for pt, ps in log.points:
-                if pt <= t:
-                    value = ps
-                else:
-                    break
-            total += value
-        curve.append((t, total / len(logs)))
-    return curve
 
 
 def time_to_size(log: ConvergenceLog, target: float) -> float | None:

@@ -11,9 +11,10 @@ from fastmis.cli import (
     verify,
     write_metis,
 )
+from fastmis.graph import load
 from fastmis.metrics import read_log
 
-from util import er_graph, path_graph
+from util import ba_graph, er_graph, path_graph
 
 
 P5_METIS = "5 4\n2\n1 3\n2 4\n3 5\n4\n"
@@ -98,6 +99,68 @@ def test_read_metis_rejects_malformed_header(tmp_path):
     assert parse_error(path).startswith(f"{path}:1: invalid literal for int()")
 
 
+# The error contract of read_metis: each bad file and the exact message it
+# gets after "<path>". Within a line the first bad token, out-of-range index
+# or self-loop wins in token order, then a duplicate; the first bad line wins
+# over later ones; asymmetry is checked after every line, the edge count last.
+METIS_ERRORS = [
+    ("empty", "", ": empty file"),
+    ("only-comments", "% a\n  % b\n", ": empty file"),
+    ("header-arity", "3\n2\n1 3\n2\n", ":1: header must be 'n m [fmt]'"),
+    ("header-int", "3 two\n2\n1 3\n2\n",
+     ":1: invalid literal for int() with base 10: 'two'"),
+    ("weighted", "2 1 11\n2 5\n1 5\n", ":1: weighted format 11 is unsupported"),
+    ("too-few-lines", "3 1\n2\n1\n", ": expected 3 vertex lines, found 2"),
+    ("too-many-lines", "2 1\n2\n1\n1\n", ": expected 2 vertex lines, found 3"),
+    ("negative-n", "-1 0\n\n", ": expected -1 vertex lines, found 0"),
+    ("index-zero", "2 1\n0\n1\n", ":2: neighbor 0 outside 1..2"),
+    ("index-n-plus-1", "2 1\n2\n1 3\n", ":3: neighbor 3 outside 1..2"),
+    ("index-minus-1", "2 1\n2\n-1\n", ":3: neighbor -1 outside 1..2"),
+    ("self-loop", "2 1\n1\n1\n", ":2: self-loop at vertex 1"),
+    ("bad-token", "3 2\n2\n1 x\n2\n", ":3: bad neighbor token 'x'"),
+    ("duplicate", "% c\n3 2\n2\n1 3 3\n2\n", ":4: duplicate neighbors on vertex 2"),
+    ("range-before-token", "3 1\n9 x\n\n\n", ":2: neighbor 9 outside 1..3"),
+    ("token-before-range", "3 1\nx 9\n\n\n", ":2: bad neighbor token 'x'"),
+    ("self-loop-before-duplicate", "3 2\n2 2 1\n1\n\n", ":2: self-loop at vertex 1"),
+    ("duplicate-before-next-line", "3 2\n2 2\n1 x\n\n",
+     ":2: duplicate neighbors on vertex 1"),
+    ("asymmetry-after-comments", "% c\n3 2\n2\n% between\n1 3\n\n",
+     ":5: vertex 2 lists 3 but not vice versa"),
+    ("asymmetry-first-in-file-order", "4 2\n2\n1 4\n\n1\n",
+     ":3: vertex 2 lists 4 but not vice versa"),
+    ("asymmetry-crlf", "3 2\r\n2\r\n1 3\r\n\r\n", ":3: vertex 2 lists 3 but not vice versa"),
+    ("asymmetry-before-edge-count", "3 7\n2\n1 3\n\n",
+     ":3: vertex 2 lists 3 but not vice versa"),
+    ("edge-count", "3 5\n2\n1 3\n2\n", ":1: header claims 5 edges, lines hold 2"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in METIS_ERRORS],
+                         ids=[case[0] for case in METIS_ERRORS])
+def test_read_metis_error_contract(tmp_path, text, message):
+    path = tmp_path / "bad.metis"
+    path.write_bytes(text.encode("utf-8"))
+    assert parse_error(str(path)) == f"{path}{message}"
+
+
+def test_read_metis_rejects_invalid_utf8(tmp_path):
+    # the file is UTF-8 text: a byte that does not decode fails, even in a comment
+    for i, body in enumerate((b"2 1\n2\n1\n% \xff\n", b"2 1\n2\n\xff1\n")):
+        path = tmp_path / f"u{i}.metis"
+        path.write_bytes(body)
+        with pytest.raises(UnicodeDecodeError):
+            read_metis(path)
+        assert main(["kernel-stats", "--graph", str(path)]) == 1
+
+
+def test_read_metis_reads_unicode_text(tmp_path):
+    # tokens are split and read as Python str: a no-break space separates
+    # them and a non-ASCII decimal digit is a digit
+    path = tmp_path / "nb.metis"
+    path.write_bytes("3 2\n2\n1\u00a0\u0663\n2\n".encode("utf-8"))
+    assert read_metis(path).edges() == [(0, 1), (1, 2)]
+
+
 def test_metis_round_trip(tmp_path):
     rng = random.Random(7)
     for i in range(15):
@@ -107,6 +170,48 @@ def test_metis_round_trip(tmp_path):
         back = read_metis(path)
         assert back.edges() == g.edges()
         assert back.n == g.n
+
+
+def messy_metis(g, rng) -> bytes:
+    """``g`` in the adjacency format with shuffled neighbours, mixed spaces
+    and tabs, comments between vertex lines, trailing blank lines, and one
+    line ending throughout."""
+    gaps = (" ", "  ", "\t", " \t ")
+    lines = ["% header next", f"{g.n}\t{g.live_edge_count()} "]
+    for v in range(g.n):
+        nbrs = [u + 1 for u in g.adjacency[v]]
+        rng.shuffle(nbrs)
+        lines.append("".join(rng.choice(gaps) + str(u) for u in nbrs)
+                     + rng.choice(("", " ", "\t")))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("%", "% between", "  \t% indented")))
+    lines += ["", " ", "\t"][:rng.randrange(4)]
+    eol = rng.choice(("\n", "\r\n", "\r"))
+    return (eol.join(lines) + eol).encode("utf-8")
+
+
+def test_read_metis_formatting_variants_parse_to_load(tmp_path):
+    rng = random.Random(11)
+    for i in range(30):
+        n = rng.randrange(1, 60)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if u % 4 and v % 4 and rng.random() < 0.2]   # multiples of 4 stay isolated
+        want = load(edges, n)
+        path = tmp_path / f"v{i}.metis"
+        path.write_bytes(messy_metis(want, rng))
+        got = read_metis(path)
+        assert got.n == n and got.next_id == n and all(got.alive) and got.degrees_exact
+        assert got.adjacency == want.adjacency
+        assert got.live_degree == want.live_degree
+
+
+def test_read_metis_reads_back_large_ba_graph(tmp_path):
+    g = ba_graph(random.Random(5), 20_000, attach=(1, 2, 4, 8))
+    path = tmp_path / "ba.metis"
+    write_metis(g, path)
+    back = read_metis(path)
+    assert back.adjacency == g.adjacency
+    assert back.live_degree == g.live_degree
 
 
 def test_read_edge_list(tmp_path):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fastmis.cut import cut_absolute, cut_relative, cut_snapshot_top
+from fastmis.cut import cut_relative, cut_snapshot_top
 from fastmis.graph import load
 
 from util import er_graph, star_graph
@@ -26,41 +26,6 @@ def two_stars():
     # disjoint K1,5 stars on 12 vertices, centers 0 and 6
     edges = [(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 12)]
     return load(edges, 12)
-
-
-def test_absolute_star_threshold():
-    g = star_graph(9)
-    removed = cut_absolute(g, 5)
-    assert removed == [0]
-    assert g.alive_count() == 9
-    assert all(g.live_degree[v] == 0 for v in g.alive_vertices())
-
-
-def test_absolute_regular_untouched():
-    g = load([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)], 4)  # 3-regular K4
-    assert cut_absolute(g, 3) == []
-
-
-def test_absolute_zero_threshold_removes_all_nonisolated():
-    g = load([(0, 1), (2, 3)], 5)
-    removed = cut_absolute(g, 0)
-    assert sorted(removed) == [0, 1, 2, 3]
-    assert g.alive_vertices() == [4]
-
-
-def test_absolute_snapshot_semantics():
-    # hubs 0 and 1 are adjacent; iterative removal would spare the second
-    edges = [(0, 1)]
-    edges += [(0, v) for v in range(2, 7)]
-    edges += [(1, v) for v in range(7, 12)]
-    g = load(edges, 12)
-    removed = cut_absolute(g, 5)
-    assert sorted(removed) == [0, 1]
-
-
-def test_absolute_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        cut_absolute(star_graph(2), -1)
 
 
 def test_relative_mesh_count():

@@ -199,6 +199,14 @@ def test_removal_without_degree_update_keeps_checks_exact():
                 assert g.neighbors_live(u) == eager.neighbors_live(u)
 
 
+def test_is_simplicial_needs_exact_degrees_without_bound():
+    g = path_graph(4)
+    g.remove_vertex(1, update_degrees=False)
+    with pytest.raises(ValueError, match="exact live degrees"):
+        g.is_simplicial(2)
+    assert g.is_simplicial(2, max_degree=2)   # counts live neighbours itself
+
+
 def test_validate_counts_removals_without_degree_update():
     g = star_graph(3)
     g.remove_vertex(1, update_degrees=False)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fastmis.metrics import (
     ConvergenceLog,
-    average_logs,
     max_speedup,
     read_log,
     time_to_size,
@@ -39,30 +38,6 @@ def test_append_enforces_monotonicity():
     with pytest.raises(ValueError):
         log.append(2.0, 5)
     log.append(2.0, 6)
-
-
-def test_average_identity_on_identical_logs():
-    log = make_log([(1.0, 3), (2.0, 5)])
-    assert average_logs([log, log, log]) == [(1.0, 3.0), (2.0, 5.0)]
-
-
-def test_average_two_logs_means_values():
-    a = make_log([(1.0, 10)])
-    b = make_log([(1.0, 20)])
-    assert average_logs([a, b]) == [(1.0, 15.0)]
-
-
-def test_average_single_log_identity():
-    log = make_log([(0.5, 2), (1.5, 4)])
-    assert average_logs([log]) == [(0.5, 2.0), (1.5, 4.0)]
-
-
-def test_average_rejects_empty_and_mixed():
-    with pytest.raises(ValueError):
-        average_logs([])
-    with pytest.raises(ValueError):
-        average_logs([make_log([(1, 1)], instance="x"),
-                      make_log([(1, 1)], instance="y")])
 
 
 def test_time_to_size_examples():
