@@ -92,7 +92,7 @@ def read_metis(path) -> Graph:
     total = sum(map(len, adjacency))
     if total != 2 * m:
         raise ParseError(f"{path}:{header_line}: header claims {m} edges, lines hold {total // 2}")
-    return Graph.from_adjacency(adjacency)
+    return Graph(adjacency)
 
 
 def _vertex_line_fault(line: str, v: int, n: int) -> str:

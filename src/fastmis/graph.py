@@ -5,9 +5,10 @@ or above ``n`` are created later by reductions (folding, gadget insertion)
 and are appended so input ids stay stable for solution reporting. Removing
 a vertex flips an ``alive`` flag instead of rewriting adjacency lists.
 :meth:`Graph.neighbors_live` filters dead entries into a fresh list; the
-hot scans (the local search, :meth:`Graph.is_simplicial`, and the
-pendant, LP, unconfined and alternative rules) walk ``adjacency`` in place
-instead and check ``alive`` inline. Cutting and the rest of the rules ask
+hot scans (the local search and its online commit check,
+:meth:`Graph.is_simplicial`, and the pendant, LP, unconfined and
+alternative rules) walk ``adjacency`` in place instead and check
+``alive`` inline. Cutting and the rest of the rules ask
 ``neighbors_live``. Adjacency lists are kept sorted so edge tests can
 bisect them, twin signatures compare equal, and every scan visits
 neighbors in a fixed order.
@@ -37,28 +38,15 @@ class Graph:
 
     __slots__ = ("n", "adjacency", "alive", "live_degree", "next_id", "_counted_dead")
 
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise GraphFormatError("vertex count must be nonnegative")
-        self.n = n
-        self.adjacency: list[list[int]] = [[] for _ in range(n)]
-        self.alive: list[bool] = [True] * n
-        self.live_degree: list[int] = [0] * n
-        self.next_id: int = n
-        self._counted_dead: list[int] = []
-
-    @classmethod
-    def from_adjacency(cls, adjacency: list[list[int]]) -> Graph:
+    def __init__(self, adjacency: list[list[int]]) -> None:
         """A fully alive graph that takes ``adjacency`` as it is, without a
         copy or a check: the lists must be sorted, symmetric, loop-free and
-        without duplicates."""
-        g = cls.__new__(cls)
-        g.n = g.next_id = len(adjacency)
-        g.adjacency = adjacency
-        g.alive = [True] * g.n
-        g.live_degree = list(map(len, adjacency))
-        g._counted_dead = []
-        return g
+        without duplicates. :func:`load` builds one from an edge list."""
+        self.n = self.next_id = len(adjacency)
+        self.adjacency = adjacency
+        self.alive = [True] * self.n
+        self.live_degree = list(map(len, adjacency))
+        self._counted_dead: list[int] = []
 
     # ------------------------------------------------------------------
     # queries
@@ -95,33 +83,20 @@ class Graph:
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
 
-    def is_simplicial(self, v: int, max_degree: int | None = None) -> bool:
+    def is_simplicial(self, v: int) -> bool:
         """True if the closed live neighborhood of ``v`` induces a clique.
 
-        ``max_degree`` short-circuits to False for higher-degree vertices,
-        which is what the degree-restricted online check needs. With it,
-        the live neighbors of ``v`` are counted from the adjacency list,
-        so the answer stays exact after removals that skipped the degree
-        update (see :meth:`remove_vertex`); neighbor degrees are then
-        upper bounds, which the clique test below only uses to reject.
-        Without it the degree of ``v`` is read, so the graph needs exact
-        live degrees (:attr:`degrees_exact`); ValueError otherwise.
+        The degree of ``v`` is read, so the graph needs exact live degrees
+        (:attr:`degrees_exact`); ValueError otherwise. The online search
+        has its own degree-<=2 check, which counts live neighbors itself
+        (``local_search.commit_check``).
         """
-        alive = self.alive
-        adjacency = self.adjacency
-        adj_v = adjacency[v]
-        if max_degree is not None:
-            deg = 0
-            for u in adj_v:
-                if alive[u]:
-                    deg += 1
-                    if deg > max_degree:
-                        return False
-        elif self._counted_dead:
-            raise ValueError("is_simplicial without max_degree needs exact live degrees; "
+        if self._counted_dead:
+            raise ValueError("is_simplicial needs exact live degrees; "
                              "the graph has removals made with update_degrees=False")
-        else:
-            deg = self.live_degree[v]
+        alive = self.alive
+        adj_v = self.adjacency[v]
+        deg = self.live_degree[v]
         if deg <= 1:
             return True
         # the first two live neighbors must be adjacent; on a sparse graph
@@ -179,7 +154,7 @@ class Graph:
         neighbors' live degrees keep counting ``v``. That saves the scan of
         the adjacency list for a caller that reads no live degree from
         then on, such as the online search, whose commit check counts live
-        neighbors.
+        neighbors (``local_search.commit_check``).
         """
         if not self.alive[v]:
             raise ValueError(f"vertex {v} is already removed")
@@ -293,9 +268,11 @@ class Graph:
 def load(edge_set: list[tuple[int, int]], n: int) -> Graph:
     """Build a graph from an edge list, dropping self-loops and duplicates.
 
-    Raises GraphFormatError when an endpoint falls outside [0, n).
+    Raises GraphFormatError when ``n`` is negative or an endpoint falls
+    outside [0, n).
     """
-    g = Graph(n)
+    if n < 0:
+        raise GraphFormatError("vertex count must be nonnegative")
     per_vertex: list[set[int]] = [set() for _ in range(n)]
     for u, v in edge_set:
         if not (0 <= u < n and 0 <= v < n):
@@ -304,8 +281,4 @@ def load(edge_set: list[tuple[int, int]], n: int) -> Graph:
             continue
         per_vertex[u].add(v)
         per_vertex[v].add(u)
-    for v in range(n):
-        nbrs = sorted(per_vertex[v])
-        g.adjacency[v] = nbrs
-        g.live_degree[v] = len(nbrs)
-    return g
+    return Graph([sorted(nbrs) for nbrs in per_vertex])

@@ -13,11 +13,16 @@ the outcome (see :class:`Solution`). Adjacency lists stay sorted, so
 every rng draw, set insertion and queue push happens in vertex-id order.
 
 In online mode every insertion first runs the cheap degree-<=2 clique
-check: vertices that pass are committed permanently and their
-neighborhoods leave the residual graph for good. The check counts live
-neighbors instead of reading ``live_degree``, so commits remove vertices
-without the degree update (``update_degrees=False``): after the first
-commit the graph's live degrees still count the removed vertices.
+check (:func:`commit_check`): vertices that pass are committed
+permanently and their neighborhoods leave the residual graph for good.
+The check counts live neighbors instead of reading ``live_degree``, so
+commits remove vertices without the degree update
+(``update_degrees=False``): after the first commit the graph's live
+degrees still count the removed vertices.
+
+:func:`run_iterated` returns the best set it has seen without copying
+it at each improvement: the solution records the first move of each
+vertex since the last improvement and undoes those moves at the end.
 """
 
 from __future__ import annotations
@@ -127,11 +132,11 @@ class Solution:
     alive. Only :func:`greedy_initial` reads live degrees, to bucket the
     vertices before any commit.
 
-    Best-set tracking journals every move since the last
-    :meth:`mark_best`. :func:`run_iterated` calls :meth:`bound_journal`
-    once per iteration: past ``len(in_solution)`` entries the best set is
-    snapshotted instead, and journaling pauses until the next mark, so
-    the journal stays within that bound between iterations.
+    Best-set tracking keeps, for every vertex moved since the last
+    :meth:`mark_best`, its first move since then (+1 in, -1 out): a
+    vertex moves in and out by turns, so at the mark it stood opposite
+    to its first move. The map holds one entry per vertex at most, and
+    stays ``None``, recording nothing, until the first mark.
     """
 
     def __init__(self, graph: Graph, rng: random.Random, online: bool = False) -> None:
@@ -167,8 +172,7 @@ class Solution:
         self.clock = 0
         self._queue: deque[int] = deque()
         self._queued = [False] * capacity
-        self._journal: list[tuple[int, int]] | None = None
-        self._best: set[int] | None = None
+        self._first_move: dict[int, int] | None = None
         for v in graph.alive_vertices():
             self.non_solution.add(v)
 
@@ -183,7 +187,7 @@ class Solution:
             raise ValueError(f"vertex {v} is not insertable")
         if self.tightness[v] != 0:
             raise ValueError(f"vertex {v} has tightness {self.tightness[v]}")
-        if self.online and self.graph.is_simplicial(v, max_degree=2):
+        if self.online and commit_check(self.graph, v):
             self._commit(v)
             return
         self._base_insert(v)
@@ -197,8 +201,8 @@ class Solution:
         in_solution = self.in_solution
         in_solution[v] = False
         self.size -= 1
-        if self._journal is not None:
-            self._journal.append((-1, v))
+        if self._first_move is not None:
+            self._first_move.setdefault(v, -1)
         self.clock += 1
         self.last_out[v] = self.clock
         self.non_solution.add(v)
@@ -238,8 +242,8 @@ class Solution:
     def _base_insert(self, v: int) -> None:
         self.in_solution[v] = True
         self.size += 1
-        if self._journal is not None:
-            self._journal.append((1, v))
+        if self._first_move is not None:
+            self._first_move.setdefault(v, 1)
         free = self.free
         free.discard(v)
         self.non_solution.discard(v)
@@ -259,8 +263,8 @@ class Solution:
         g = self.graph
         self.in_solution[v] = True
         self.size += 1
-        if self._journal is not None:
-            self._journal.append((1, v))
+        if self._first_move is not None:
+            self._first_move.setdefault(v, 1)
         self.committed[v] = True
         free = self.free
         non_solution = self.non_solution
@@ -295,35 +299,41 @@ class Solution:
 
     # ------------------------------------------------------------------
 
-    def start_best_tracking(self) -> None:
-        self._journal = []
-        self._best = None
-
     def mark_best(self) -> None:
-        if self._journal is not None or self._best is not None:
-            self._journal = []
-            self._best = None
-
-    def bound_journal(self) -> None:
-        """Snapshot the best set once the journal outgrows the graph,
-        at one O(n) pass per improvement at most."""
-        if self._journal is not None and len(self._journal) > len(self.in_solution):
-            self._best = self.materialize_best()
-            self._journal = None
+        """Take the current solution as the best one: start a fresh map."""
+        self._first_move = {}
 
     def materialize_best(self) -> set[int]:
-        """Solution as of the last mark_best, from the snapshot or
-        replayed from the journal."""
-        if self._best is not None:
-            return set(self._best)
+        """Solution as of the last mark_best: the current one, with every
+        vertex moved since then put back opposite to its first move."""
         best = self.vertices()
-        if self._journal is not None:
-            for op, v in reversed(self._journal):
-                if op > 0:
+        if self._first_move is not None:
+            for v, move in self._first_move.items():
+                if move > 0:
                     best.discard(v)
                 else:
                     best.add(v)
         return best
+
+
+def commit_check(g: Graph, v: int) -> bool:
+    """True if ``v`` has at most two live neighbors and they are adjacent.
+
+    This is the online search's degree-<=2 clique check. It counts live
+    neighbors from the adjacency list, stopping at the third, so it stays
+    exact after commits, which remove vertices without the degree update.
+    """
+    alive = g.alive
+    first = second = -1
+    for u in g.adjacency[v]:
+        if alive[u]:
+            if first < 0:
+                first = u
+            elif second < 0:
+                second = u
+            else:
+                return False
+    return second < 0 or g.has_live_edge(first, second)
 
 
 def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Solution:
@@ -457,7 +467,7 @@ def run_iterated(g: Graph, sol: Solution, budget: Budget, log: ConvergenceLog,
             return float(iteration)
         return time.perf_counter() - start
 
-    sol.start_best_tracking()
+    sol.mark_best()
     best_size = sol.size
     log.append(now(0), best_size + size_offset)
     iteration = 0
@@ -473,5 +483,4 @@ def run_iterated(g: Graph, sol: Solution, budget: Budget, log: ConvergenceLog,
             best_size = sol.size
             sol.mark_best()
             log.append(now(iteration), best_size + size_offset)
-        sol.bound_journal()
     return sol.materialize_best()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from urllib.parse import quote, unquote
 
 
 @dataclass
@@ -67,9 +68,14 @@ def max_speedup(base: ConvergenceLog, other: ConvergenceLog) -> float:
 
 
 def write_log(log: ConvergenceLog, path) -> None:
-    """CSV lines elapsed,size under a comment carrying run identity."""
+    """CSV lines elapsed,size under a comment carrying run identity.
+
+    The comment's values are percent-encoded, so a name holding
+    whitespace reads back whole.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# instance={log.instance} algorithm={log.algorithm} seed={log.seed}\n")
+        fh.write(f"# instance={quote(log.instance)} algorithm={quote(log.algorithm)} "
+                 f"seed={log.seed}\n")
         for t, s in log.points:
             fh.write(f"{t:.6f},{s}\n")
 
@@ -84,6 +90,7 @@ def read_log(path) -> ConvergenceLog:
             if line.startswith("#"):
                 for token in line[1:].split():
                     key, _, value = token.partition("=")
+                    value = unquote(value)
                     if key == "instance":
                         log.instance = value
                     elif key == "algorithm":

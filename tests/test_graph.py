@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fastmis.graph import GraphFormatError, load
+from fastmis.local_search import commit_check
 
 from util import cycle_graph, er_graph, path_graph, star_graph
 
@@ -31,6 +32,11 @@ def test_load_rejects_out_of_range_endpoints():
         load([(0, 3)], 3)
     with pytest.raises(GraphFormatError):
         load([(-1, 0)], 3)
+
+
+def test_load_rejects_negative_vertex_count():
+    with pytest.raises(GraphFormatError, match="nonnegative"):
+        load([], -1)
 
 
 def test_load_idempotent_on_own_edges():
@@ -194,8 +200,9 @@ def test_removal_without_degree_update_keeps_checks_exact():
             g.validate()
             g.copy().validate()
             for u in g.alive_vertices():
-                # the bounded clique check reads no live degree
-                assert g.is_simplicial(u, max_degree=2) == eager.is_simplicial(u, max_degree=2)
+                # the online commit check reads no live degree
+                want = eager.live_degree[u] <= 2 and eager.is_simplicial(u)
+                assert commit_check(g, u) == want
                 assert g.neighbors_live(u) == eager.neighbors_live(u)
 
 
@@ -204,7 +211,7 @@ def test_is_simplicial_needs_exact_degrees_without_bound():
     g.remove_vertex(1, update_degrees=False)
     with pytest.raises(ValueError, match="exact live degrees"):
         g.is_simplicial(2)
-    assert g.is_simplicial(2, max_degree=2)   # counts live neighbours itself
+    assert commit_check(g, 2)   # counts live neighbours itself
 
 
 def test_validate_counts_removals_without_degree_update():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fastmis.graph import load
 from fastmis.local_search import (
     Budget,
     PerturbationParams,
@@ -369,36 +370,64 @@ def test_run_best_recovered_after_decline():
         assert is_independent(g, best)
 
 
-def test_best_journal_stays_bounded(monkeypatch):
-    # the search stops improving early on a small mesh, so the journal
-    # of moves since the last improvement outgrows its bound
-    g = mesh_graph(random.Random(100), 10)
-    rng = random.Random(5)
-    sol = greedy_initial(g, rng)
-    bound = len(sol.in_solution)
-    best_sets = [sol.vertices()]
+def run_watching_marks(g, seed, iterations, online=False):
+    """run_iterated with mark_best wrapped: returns the result, the log,
+    and the solution and its commit count at the last mark."""
+    rng = random.Random(seed)
+    sol = greedy_initial(g, rng, online=online)
+    marks = [(sol.vertices(), sum(sol.committed))]
     real_mark_best = sol.mark_best
 
     def mark_best():
         real_mark_best()
-        best_sets.append(sol.vertices())
+        marks.append((sol.vertices(), sum(sol.committed)))
 
     sol.mark_best = mark_best
-    lengths = []
-    snapshots = []
-
-    def watching_perturb(s, params, r):
-        lengths.append(len(s._journal or ()))
-        snapshots.append(s._best is not None)
-        perturb(s, params, r)
-
-    monkeypatch.setattr("fastmis.local_search.perturb", watching_perturb)
     log = ConvergenceLog()
-    best = run_iterated(g, sol, Budget(iterations=2000), log, rng)
+    best = run_iterated(g, sol, Budget(iterations=iterations), log, rng)
+    return sol, best, log, marks[-1]
+
+
+def test_best_journal_stays_bounded():
+    # the search stops improving early on a small mesh, so many moves
+    # follow the last improvement; the result is still the set it marked
+    g = mesh_graph(random.Random(100), 10)
+    original = g.copy()
+    _, best, log, (marked, _) = run_watching_marks(g, 5, 2000)
     assert log.points[-1][0] < 1000
-    assert any(snapshots)
-    assert max(lengths) <= bound
-    assert len(sol._journal or ()) <= bound
-    assert best == best_sets[-1]
+    assert best == marked
     assert len(best) == log.points[-1][1]
-    assert is_independent(g, best)
+    assert is_independent(original, best)
+    # online: commits after the last improvement are undone too
+    g = mesh_graph(random.Random(0), 10)
+    original = g.copy()
+    sol, best, log, (marked, commits) = run_watching_marks(g, 0, 500, online=True)
+    assert sum(sol.committed) > commits
+    assert best == marked
+    assert len(best) == log.points[-1][1]
+    assert is_independent(original, best)
+
+
+def test_best_set_undoes_first_moves_since_mark():
+    g = load([(0, 1)], 4)   # 2 and 3 are isolated
+    sol = Solution(g, random.Random(0))
+    sol.insert(1)
+    sol.mark_best()
+    sol.insert(2)        # in, out, in again: first move was in
+    sol.remove(2)
+    sol.insert(2)
+    sol.remove(1)        # out, in, out: first move was out
+    sol.insert(1)
+    sol.remove(1)
+    assert sol.vertices() == {2}
+    assert sol.materialize_best() == {1}
+    # a commit after the mark is undone like any insertion
+    sol = Solution(g, random.Random(0), online=True)
+    sol.insert(2)
+    assert sol.committed[2]
+    sol.mark_best()
+    sol.insert(0)        # degree 1: committed, 1 leaves the graph
+    assert sol.committed[0]
+    assert sol.materialize_best() == {2}
+    sol.mark_best()
+    assert sol.materialize_best() == {0, 2}

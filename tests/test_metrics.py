@@ -98,3 +98,16 @@ def test_csv_round_trip(tmp_path):
             assert got_t == pytest.approx(want_t, abs=1e-6)
         assert (back.instance, back.algorithm, back.seed) == (
             log.instance, log.algorithm, log.seed)
+
+
+def test_csv_header_keeps_names_with_whitespace(tmp_path):
+    log = ConvergenceLog(algorithm="online mis", seed=3, instance="my graph.metis")
+    log.append(0.5, 7)
+    path = tmp_path / "log.csv"
+    write_log(log, path)
+    back = read_log(path)
+    assert (back.instance, back.algorithm, back.seed) == ("my graph.metis", "online mis", 3)
+    # plain names are written as they are
+    log = ConvergenceLog(algorithm="kermis", seed=1, instance="pa100k")
+    write_log(log, path)
+    assert path.read_text().splitlines()[0] == "# instance=pa100k algorithm=kermis seed=1"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fastmis.graph import load
+from fastmis.local_search import commit_check
 from fastmis.oracle import exact_mis
 from fastmis.reductions import (
     ALL_RULES,
@@ -149,10 +150,11 @@ def test_isolated_p3_center_not_simplicial():
 
 
 def test_isolated_respects_degree_bound():
-    # the degree bound of the online check lives in Graph.is_simplicial;
-    # the kernelization rule takes simplicial vertices at any degree
+    # the degree bound of the online check lives in the search's
+    # commit_check; the kernelization rule takes simplicial vertices at
+    # any degree
     g = complete_graph(4)  # simplicial at degree 3
-    assert not g.is_simplicial(0, max_degree=2)
+    assert not commit_check(g, 0)
     stack = ReductionStack(g)
     assert reduce_isolated(g, stack) == 1
     assert g.alive_count() == 0
