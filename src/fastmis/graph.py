@@ -12,6 +12,12 @@ alternative rules) walk ``adjacency`` in place instead and check
 ``neighbors_live``. Adjacency lists are kept sorted so edge tests can
 bisect them, twin signatures compare equal, and every scan visits
 neighbors in a fixed order.
+
+:meth:`Graph.copy` shares the adjacency lists with its source until one
+of the two first writes a list: :meth:`Graph.add_edge`,
+:meth:`Graph.add_gadget` and :meth:`Graph.contract_fold` then give the
+writing graph lists of its own. The search, cutting and the removal of
+vertices never write a list, so they never pay for that copy.
 """
 
 from __future__ import annotations
@@ -32,11 +38,16 @@ class Graph:
     read live degrees, so they need a graph without such removals
     (:attr:`degrees_exact`).
 
+    ``adjacency`` is one outer list for the graph's lifetime: it is never
+    rebound, so a caller may hoist it. Its inner lists may be shared with
+    other copies (``_shared``) until this graph first writes one.
+
     Not thread-safe under mutation; independent runs must operate on
     independent copies (see :meth:`copy`).
     """
 
-    __slots__ = ("n", "adjacency", "alive", "live_degree", "next_id", "_counted_dead")
+    __slots__ = ("n", "adjacency", "alive", "live_degree", "next_id", "_counted_dead",
+                 "_shared")
 
     def __init__(self, adjacency: list[list[int]]) -> None:
         """A fully alive graph that takes ``adjacency`` as it is, without a
@@ -47,6 +58,7 @@ class Graph:
         self.alive = [True] * self.n
         self.live_degree = list(map(len, adjacency))
         self._counted_dead: list[int] = []
+        self._shared = False
 
     # ------------------------------------------------------------------
     # queries
@@ -169,13 +181,16 @@ class Graph:
                 live_degree[u] -= 1
 
     def add_edge(self, u: int, v: int) -> bool:
-        """Insert edge {u, v} between alive vertices; False if present."""
+        """Insert edge {u, v} between alive vertices; False if present.
+
+        The first insertion gives the graph its own adjacency lists."""
         if u == v:
             raise ValueError("self-loops are not allowed")
         if not (self.alive[u] and self.alive[v]):
             raise ValueError("both endpoints must be alive")
         if self.has_live_edge(u, v):
             return False
+        self._own_lists()
         insort(self.adjacency[u], v)
         insort(self.adjacency[v], u)
         self.live_degree[u] += 1
@@ -185,7 +200,8 @@ class Graph:
     def contract_fold(self, v: int, u: int, w: int) -> int:
         """Replace a degree-2 vertex ``v`` and its non-adjacent neighbors
         ``u``, ``w`` by one fresh vertex inheriting their outside
-        neighborhoods. Returns the fresh id.
+        neighborhoods. Returns the fresh id. Like :meth:`add_gadget`, it
+        gives the graph its own adjacency lists first.
         """
         if not (self.alive[v] and self.alive[u] and self.alive[w]):
             raise ValueError("all three vertices must be alive")
@@ -203,7 +219,8 @@ class Graph:
         return self._new_vertex(sorted(merged_nbrs))
 
     def add_gadget(self, neighbor_ids: list[int]) -> int:
-        """Fresh alive vertex adjacent to exactly ``neighbor_ids``."""
+        """Fresh alive vertex adjacent to exactly ``neighbor_ids``; the
+        graph gets its own adjacency lists first."""
         nbrs = sorted(set(neighbor_ids))
         for u in nbrs:
             if not self.alive[u]:
@@ -211,6 +228,7 @@ class Graph:
         return self._new_vertex(nbrs)
 
     def _new_vertex(self, sorted_nbrs: list[int]) -> int:
+        self._own_lists()
         vid = self.next_id
         self.next_id += 1
         self.adjacency.append(sorted_nbrs)
@@ -225,14 +243,31 @@ class Graph:
     # structure management
 
     def copy(self) -> Graph:
+        """An independent graph in O(n) pointer copies.
+
+        The new outer list shares every adjacency list with this graph,
+        and both graphs are marked shared; whichever first writes a list
+        copies all of its lists then (:meth:`_own_lists`). Flags and
+        degrees are copied at once.
+        """
         g = Graph.__new__(Graph)
         g.n = self.n
-        g.adjacency = [list(a) for a in self.adjacency]
+        g.adjacency = list(self.adjacency)
         g.alive = list(self.alive)
         g.live_degree = list(self.live_degree)
         g.next_id = self.next_id
         g._counted_dead = list(self._counted_dead)
+        g._shared = self._shared = True
         return g
+
+    def _own_lists(self) -> None:
+        """Copy every adjacency list in place if another graph may share
+        them. The outer list keeps its identity, so hoisted references to
+        ``adjacency`` stay valid; hoisted inner lists do not."""
+        if self._shared:
+            adjacency = self.adjacency
+            adjacency[:] = [list(a) for a in adjacency]
+            self._shared = False
 
     def validate(self) -> None:
         """Full-rescan consistency check; raises AssertionError on damage.
@@ -273,12 +308,12 @@ def load(edge_set: list[tuple[int, int]], n: int) -> Graph:
     """
     if n < 0:
         raise GraphFormatError("vertex count must be nonnegative")
-    per_vertex: list[set[int]] = [set() for _ in range(n)]
+    per_vertex: list[list[int]] = [[] for _ in range(n)]
     for u, v in edge_set:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             continue
-        per_vertex[u].add(v)
-        per_vertex[v].add(u)
-    return Graph([sorted(nbrs) for nbrs in per_vertex])
+        per_vertex[u].append(v)
+        per_vertex[v].append(u)
+    return Graph([sorted(set(nbrs)) for nbrs in per_vertex])

@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -87,9 +88,13 @@ class _IndexedSet:
 
     __slots__ = ("items", "pos")
 
-    def __init__(self, capacity: int) -> None:
-        self.items: list[int] = []
-        self.pos = [-1] * capacity
+    def __init__(self, capacity: int, items: Iterable[int] = ()) -> None:
+        """A set over ids below ``capacity`` holding the distinct
+        ``items``, kept in their given order."""
+        self.items = list(items)
+        pos = self.pos = [-1] * capacity
+        for i, v in enumerate(self.items):
+            pos[v] = i
 
     def __len__(self) -> int:
         return len(self.items)
@@ -141,20 +146,19 @@ class Solution:
 
     def __init__(self, graph: Graph, rng: random.Random, online: bool = False) -> None:
         self._setup(graph, rng, online)
-        free = self.free
-        for v in self.non_solution.items:
-            free.add(v)
+        self.free = _IndexedSet(graph.next_id, self.non_solution.items)
 
     @classmethod
     def _for_greedy(cls, graph: Graph, rng: random.Random, online: bool) -> Solution:
         """An empty solution whose free set starts empty too.
 
-        :func:`greedy_initial` never reads the free set, and every alive
-        vertex leaves it during the pass, so filling it first would only
-        be undone; the set is exact again once the pass ends.
+        :func:`greedy_initial` neither reads nor writes the free set; its
+        pass ends with a maximal solution, for which the empty set is
+        exact.
         """
         sol = cls.__new__(cls)
         sol._setup(graph, rng, online)
+        sol.free = _IndexedSet(graph.next_id)
         return sol
 
     def _setup(self, graph: Graph, rng: random.Random, online: bool) -> None:
@@ -165,16 +169,13 @@ class Solution:
         self.in_solution = [False] * capacity
         self.tightness = [0] * capacity
         self.size = 0
-        self.free = _IndexedSet(capacity)
-        self.non_solution = _IndexedSet(capacity)
+        self.non_solution = _IndexedSet(capacity, graph.alive_vertices())
         self.committed = [False] * capacity
         self.last_out = [0] * capacity
         self.clock = 0
         self._queue: deque[int] = deque()
         self._queued = [False] * capacity
         self._first_move: dict[int, int] | None = None
-        for v in graph.alive_vertices():
-            self.non_solution.add(v)
 
     # ------------------------------------------------------------------
 
@@ -292,11 +293,6 @@ class Solution:
                 return v
         return None
 
-    def seed_candidates(self) -> None:
-        for v in self.graph.alive_vertices():
-            if self.in_solution[v]:
-                self._enqueue(v)
-
     # ------------------------------------------------------------------
 
     def mark_best(self) -> None:
@@ -342,23 +338,69 @@ def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Soluti
     Vertices are drawn from degree buckets keyed by their degree at pass
     start; picks that stopped being free are discarded lazily. In online
     mode every pick runs through the commit check.
+
+    The pass does the work of :meth:`Solution.insert` inline. Nothing
+    leaves the solution during it, so the free set stays empty and is
+    exact at the end, every base insert is queued once, and a commit,
+    taken only at tightness 0, never deletes a solution member.
     """
     sol = Solution._for_greedy(g, rng, online)
-    vertices = g.alive_vertices()
-    if vertices:
-        top = max(g.live_degree[v] for v in vertices)
-        buckets: list[list[int]] = [[] for _ in range(top + 1)]
-        for v in vertices:
-            buckets[g.live_degree[v]].append(v)
-        for bucket in buckets:
-            while bucket:
-                i = rng.randrange(len(bucket))
-                v = bucket[i]
-                bucket[i] = bucket[-1]
-                bucket.pop()
-                if g.alive[v] and not sol.in_solution[v] and sol.tightness[v] == 0:
-                    sol.insert(v)
-    sol.seed_candidates()
+    items = sol.non_solution.items   # every alive vertex, before the pass
+    pos = sol.non_solution.pos
+    if not items:
+        return sol
+    alive = g.alive
+    adjacency = g.adjacency
+    live_degree = g.live_degree
+    remove_vertex = g.remove_vertex
+    in_solution = sol.in_solution
+    tightness = sol.tightness
+    committed = sol.committed
+    queued = sol._queued
+    enqueue = sol._queue.append
+    randrange = rng.randrange
+    top = max(map(live_degree.__getitem__, items))
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for v in items:
+        buckets[live_degree[v]].append(v)
+    size = 0
+    for bucket in buckets:
+        while bucket:
+            i = randrange(len(bucket))
+            v = bucket[i]
+            bucket[i] = bucket[-1]
+            bucket.pop()
+            if tightness[v] or not alive[v]:
+                continue
+            in_solution[v] = True
+            size += 1
+            # non_solution.discard(v), inline
+            i = pos[v]
+            last = items[-1]
+            items[i] = last
+            pos[last] = i
+            items.pop()
+            pos[v] = -1
+            if online and commit_check(g, v):
+                committed[v] = True
+                for u in adjacency[v]:
+                    if alive[u]:
+                        # u is alive and outside the solution, so it is
+                        # in non_solution: discard it inline as v above
+                        remove_vertex(u, False)
+                        i = pos[u]
+                        last = items[-1]
+                        items[i] = last
+                        pos[last] = i
+                        items.pop()
+                        pos[u] = -1
+                remove_vertex(v, False)
+            else:
+                for u in adjacency[v]:
+                    tightness[u] += 1
+                queued[v] = True
+                enqueue(v)
+    sol.size = size
     return sol
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fastmis.graph import GraphFormatError, load
 from fastmis.local_search import commit_check
@@ -37,6 +38,50 @@ def test_load_rejects_out_of_range_endpoints():
 def test_load_rejects_negative_vertex_count():
     with pytest.raises(GraphFormatError, match="nonnegative"):
         load([], -1)
+
+
+def load_reference(edges, n):
+    """Set-based build of the sorted lists, or the message of the first
+    edge with an endpoint out of range."""
+    per_vertex = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}"
+        if u != v:
+            per_vertex[u].add(v)
+            per_vertex[v].add(u)
+    return [sorted(a) for a in per_vertex]
+
+
+@st.composite
+def messy_edge_lists(draw):
+    """Edge lists with self-loops, duplicates, reversed pairs and now and
+    then an endpoint out of range."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    if edges:
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=10))]
+        edges = draw(st.permutations(edges))
+    wild = st.integers(-2, n + 1)
+    for e in draw(st.lists(st.tuples(wild, wild), max_size=2)):
+        edges.insert(draw(st.integers(0, len(edges))), e)
+    return n, edges
+
+
+@given(messy_edge_lists())
+def test_load_matches_set_reference(case):
+    n, edges = case
+    want = load_reference(edges, n)
+    if isinstance(want, str):
+        with pytest.raises(GraphFormatError) as info:
+            load(edges, n)
+        assert str(info.value) == want
+    else:
+        g = load(edges, n)
+        assert g.adjacency == want
+        assert g.live_degree == list(map(len, want))
+        g.validate()
 
 
 def test_load_idempotent_on_own_edges():
@@ -154,6 +199,56 @@ def test_copy_is_independent():
     h.remove_vertex(0)
     assert g.alive[0]
     assert not h.alive[0]
+
+
+def test_copy_shares_lists_until_first_write():
+    g = path_graph(5)
+    h = g.copy()
+    assert h.adjacency is not g.adjacency
+    assert all(a is b for a, b in zip(h.adjacency, g.adjacency))
+    h.remove_vertex(4)            # removals write no list
+    assert not h.add_edge(1, 0)   # nor does an edge that is present
+    assert all(a is b for a, b in zip(h.adjacency, g.adjacency))
+    outer = h.adjacency
+    assert h.add_edge(0, 2)
+    assert h.adjacency is outer
+    assert not any(a is b for a, b in zip(h.adjacency, g.adjacency))
+    owned = h.adjacency[0]
+    assert h.add_edge(0, 3)       # only the first write copies
+    assert h.adjacency[0] is owned
+    assert g.adjacency == [[1], [0, 2], [1, 3], [2, 4], [3]]
+
+
+COPY_WRITES = {
+    "add_edge": lambda g: g.add_edge(0, 4),
+    "add_gadget": lambda g: g.add_gadget([0, 2, 4]),
+    "contract_fold": lambda g: g.contract_fold(1, 0, 2),
+}
+
+
+@pytest.mark.parametrize("writer", ["source", "copy", "copy_of_copy"])
+@pytest.mark.parametrize("write", sorted(COPY_WRITES))
+def test_write_after_copy_leaves_other_graphs_alone(write, writer):
+    source = path_graph(5)
+    copy = source.copy()
+    graphs = {"source": source, "copy": copy, "copy_of_copy": copy.copy()}
+    before = [list(a) for a in source.adjacency]
+    target = graphs[writer]
+    outer = target.adjacency
+    COPY_WRITES[write](target)
+    assert target.adjacency is outer
+    assert target.adjacency != before
+    for name, g in graphs.items():
+        g.validate()
+        if name != writer:
+            assert g.adjacency == before, name
+    # the other two still share their lists, and a write there is safe
+    others = [g for name, g in graphs.items() if name != writer]
+    assert all(a is b for a, b in zip(others[0].adjacency, others[1].adjacency))
+    COPY_WRITES[write](others[0])
+    assert others[1].adjacency == before
+    for g in graphs.values():
+        g.validate()
 
 
 def test_random_operation_sequences_keep_invariants():

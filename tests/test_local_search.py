@@ -18,11 +18,13 @@ from fastmis.metrics import ConvergenceLog
 from fastmis.oracle import enumerate_swaps, exact_mis
 
 from util import (
+    ba_graph,
     check_solution_state,
     complete_graph,
     cycle_graph,
     empty_graph,
     er_graph,
+    greedy_reference,
     is_independent,
     mesh_graph,
     path_graph,
@@ -66,6 +68,49 @@ def test_greedy_always_maximal_and_consistent():
         check_solution_state(sol)
         assert len(sol.free) == 0
         assert is_independent(g, sol.vertices())
+
+
+def full_state(sol):
+    """Everything the greedy pass writes, in the solution, the graph and
+    the rng."""
+    g = sol.graph
+    return {
+        "in_solution": sol.in_solution,
+        "tightness": sol.tightness,
+        "committed": sol.committed,
+        "size": sol.size,
+        "non_solution.items": sol.non_solution.items,
+        "non_solution.pos": sol.non_solution.pos,
+        "free.items": sol.free.items,
+        "free.pos": sol.free.pos,
+        "queue": list(sol._queue),
+        "queued": sol._queued,
+        "alive": g.alive,
+        "live_degree": g.live_degree,
+        "counted_dead": g._counted_dead,
+        "rng": sol.rng.getstate(),
+    }
+
+
+@pytest.mark.parametrize("online", [False, True])
+def test_greedy_matches_method_by_method_reference(online):
+    # the inlined pass must leave the state the method-call pass leaves
+    rng = random.Random(40 + online)
+    commits = 0
+    for trial in range(60):
+        n = rng.randrange(1, 60)
+        if trial % 2:
+            g = ba_graph(rng, max(n, 2), attach=(1, 2, 3))
+        else:
+            g = er_graph(rng, n, rng.uniform(0.02, 0.3))
+        for v in rng.sample(range(g.n), rng.randrange(g.n // 4 + 1)):
+            g.remove_vertex(v)   # as a cut before the pass does
+        seed = rng.randrange(10**9)
+        got = greedy_initial(g.copy(), random.Random(seed), online=online)
+        want = greedy_reference(g.copy(), random.Random(seed), online=online)
+        assert full_state(got) == full_state(want), (trial, seed)
+        commits += sum(got.committed)
+    assert (commits > 0) == online
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 from fastmis.graph import Graph, load
+from fastmis.local_search import Solution
 
 
 def path_graph(n: int) -> Graph:
@@ -241,6 +242,32 @@ def pendant_reference(g: Graph, stack) -> int:
             if g.alive[x] and g.live_degree[x] == 1:
                 queue.append(x)
     return count
+
+
+def greedy_reference(g: Graph, rng: random.Random, online: bool = False) -> Solution:
+    """The min-degree greedy pass through the solution's own methods:
+    each pick that is still alive, outside and free goes through
+    :meth:`Solution.insert`, and afterwards every alive solution member
+    not yet queued is queued."""
+    sol = Solution._for_greedy(g, rng, online)
+    vertices = g.alive_vertices()
+    if vertices:
+        top = max(g.live_degree[v] for v in vertices)
+        buckets: list[list[int]] = [[] for _ in range(top + 1)]
+        for v in vertices:
+            buckets[g.live_degree[v]].append(v)
+        for bucket in buckets:
+            while bucket:
+                i = rng.randrange(len(bucket))
+                v = bucket[i]
+                bucket[i] = bucket[-1]
+                bucket.pop()
+                if g.alive[v] and not sol.in_solution[v] and sol.tightness[v] == 0:
+                    sol.insert(v)
+    for v in g.alive_vertices():
+        if sol.in_solution[v]:
+            sol._enqueue(v)
+    return sol
 
 
 def double_cover_matching_size(g: Graph) -> int:
