@@ -84,7 +84,13 @@ class Budget:
 
 
 class _IndexedSet:
-    """Dense int set with O(1) add/discard and uniform sampling."""
+    """Dense int set: ``items`` in insertion order with swap-removal, and
+    ``pos[v]``, the index of ``v`` in ``items`` or -1.
+
+    A discard moves the last item into the freed slot. The hot moves
+    (:meth:`Solution.insert`, :meth:`Solution.remove`) add and discard
+    inline on both lists in the same way.
+    """
 
     __slots__ = ("items", "pos")
 
@@ -102,11 +108,6 @@ class _IndexedSet:
     def __contains__(self, v: int) -> bool:
         return self.pos[v] >= 0
 
-    def add(self, v: int) -> None:
-        if self.pos[v] < 0:
-            self.pos[v] = len(self.items)
-            self.items.append(v)
-
     def discard(self, v: int) -> None:
         i = self.pos[v]
         if i < 0:
@@ -116,9 +117,6 @@ class _IndexedSet:
         self.pos[last] = i
         self.items.pop()
         self.pos[v] = -1
-
-    def sample(self, rng: random.Random) -> int:
-        return self.items[rng.randrange(len(self.items))]
 
 
 class Solution:
@@ -132,10 +130,14 @@ class Solution:
     outcome: the tightness, free and queue updates of :meth:`remove`,
     the deletions of :meth:`_commit` and the 1-tight list of
     :func:`find_one_two_swap`. Elsewhere a dead entry is harmless:
-    :meth:`_base_insert` may raise a dead vertex's tightness, which
-    nothing reads, and a solution member next to a live vertex is itself
-    alive. Only :func:`greedy_initial` reads live degrees, to bucket the
+    :meth:`insert` may raise a dead vertex's tightness, which nothing
+    reads, and a solution member next to a live vertex is itself alive.
+    Only :func:`greedy_initial` reads live degrees, to bucket the
     vertices before any commit.
+
+    :meth:`insert` and :meth:`remove` are the one implementation of each
+    move. They update the free and non-solution sets and push the
+    candidate queue inline, in the order of the adjacency lists.
 
     Best-set tracking keeps, for every vertex moved since the last
     :meth:`mark_best`, its first move since then (+1 in, -1 out): a
@@ -183,34 +185,84 @@ class Solution:
         return {v for v in range(len(self.in_solution)) if self.in_solution[v]}
 
     def insert(self, v: int) -> None:
-        """Add a free vertex; in online mode this may commit it instead."""
-        if self.in_solution[v] or not self.graph.alive[v]:
+        """Add a free vertex; in online mode this may commit it instead.
+
+        Otherwise ``v`` leaves the free and non-solution sets, each
+        neighbor whose tightness rises to 1 leaves the free set, and
+        ``v`` joins the candidate queue unless it is queued already.
+        """
+        in_solution = self.in_solution
+        if in_solution[v] or not self.graph.alive[v]:
             raise ValueError(f"vertex {v} is not insertable")
-        if self.tightness[v] != 0:
-            raise ValueError(f"vertex {v} has tightness {self.tightness[v]}")
+        tightness = self.tightness
+        if tightness[v] != 0:
+            raise ValueError(f"vertex {v} has tightness {tightness[v]}")
         if self.online and commit_check(self.graph, v):
             self._commit(v)
             return
-        self._base_insert(v)
-        self._enqueue(v)
+        in_solution[v] = True
+        self.size += 1
+        if self._first_move is not None:
+            self._first_move.setdefault(v, 1)
+        # v is alive and outside the solution, so it is in non_solution
+        items = self.non_solution.items
+        pos = self.non_solution.pos
+        i = pos[v]
+        last = items.pop()
+        if last != v:
+            items[i] = last
+            pos[last] = i
+        pos[v] = -1
+        items = self.free.items
+        pos = self.free.pos
+        i = pos[v]
+        if i >= 0:
+            last = items.pop()
+            if last != v:
+                items[i] = last
+                pos[last] = i
+            pos[v] = -1
+        for u in self.graph.adjacency[v]:
+            t = tightness[u] + 1
+            tightness[u] = t
+            if t == 1:
+                i = pos[u]
+                if i >= 0:
+                    last = items.pop()
+                    if last != u:
+                        items[i] = last
+                        pos[last] = i
+                    pos[u] = -1
+        queued = self._queued
+        if not queued[v]:
+            queued[v] = True
+            self._queue.append(v)
 
     def remove(self, v: int) -> None:
-        if not self.in_solution[v]:
+        """Take ``v`` out: it joins the non-solution set, and the free set
+        if it has no solution neighbor; each live neighbor outside the
+        solution whose tightness falls to 0 joins the free set."""
+        in_solution = self.in_solution
+        if not in_solution[v]:
             raise ValueError(f"vertex {v} is not in the solution")
         if self.committed[v]:
             raise ValueError(f"vertex {v} is committed and cannot leave")
-        in_solution = self.in_solution
         in_solution[v] = False
         self.size -= 1
         if self._first_move is not None:
             self._first_move.setdefault(v, -1)
-        self.clock += 1
-        self.last_out[v] = self.clock
-        self.non_solution.add(v)
+        clock = self.clock = self.clock + 1
+        self.last_out[v] = clock
+        # v was in the solution, so it is not in non_solution
+        non_solution = self.non_solution
+        non_solution.pos[v] = len(non_solution.items)
+        non_solution.items.append(v)
         adjacency = self.graph.adjacency
         alive = self.graph.alive
         tightness = self.tightness
-        free = self.free
+        items = self.free.items
+        pos = self.free.pos
+        queued = self._queued
         for u in adjacency[v]:
             if not alive[u]:
                 continue
@@ -218,42 +270,43 @@ class Solution:
             tightness[u] = t
             if not in_solution[u]:
                 if t == 0:
-                    free.add(u)
+                    if pos[u] < 0:
+                        pos[u] = len(items)
+                        items.append(u)
                 elif t == 1:
                     # u turned 1-tight: its unique solution neighbor may
                     # have gained a swap, so it goes back on the queue
                     for y in adjacency[u]:
                         if in_solution[y]:
-                            self._enqueue(y)
+                            if not queued[y]:
+                                queued[y] = True
+                                self._queue.append(y)
                             break
-        if tightness[v] == 0:
-            free.add(v)
+        if tightness[v] == 0 and pos[v] < 0:
+            pos[v] = len(items)
+            items.append(v)
 
     def maximalize(self) -> int:
-        """Insert free vertices in random order until none remain."""
+        """Insert free vertices in random order until none remain.
+
+        Each pick is ``rng.randrange(len(free))`` drawn inline as the
+        standard library draws it, so picks and rng state match it.
+        """
+        items = self.free.items
+        getrandbits = self.rng.getrandbits
+        insert = self.insert
         gained = 0
-        while len(self.free):
-            v = self.free.sample(self.rng)
-            self.insert(v)
+        while items:
+            n = len(items)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            insert(items[r])
             gained += 1
         return gained
 
     # ------------------------------------------------------------------
-
-    def _base_insert(self, v: int) -> None:
-        self.in_solution[v] = True
-        self.size += 1
-        if self._first_move is not None:
-            self._first_move.setdefault(v, 1)
-        free = self.free
-        free.discard(v)
-        self.non_solution.discard(v)
-        tightness = self.tightness
-        for u in self.graph.adjacency[v]:
-            t = tightness[u] + 1
-            tightness[u] = t
-            if t == 1:
-                free.discard(u)
 
     def _commit(self, v: int) -> None:
         """Permanently take ``v`` and delete its closed neighborhood.
@@ -279,19 +332,6 @@ class Solution:
                 free.discard(u)
                 non_solution.discard(u)
         g.remove_vertex(v, update_degrees=False)
-
-    def _enqueue(self, v: int) -> None:
-        if not self._queued[v]:
-            self._queued[v] = True
-            self._queue.append(v)
-
-    def _pop_candidate(self) -> int | None:
-        while self._queue:
-            v = self._queue.popleft()
-            self._queued[v] = False
-            if self.in_solution[v] and self.graph.alive[v]:
-                return v
-        return None
 
     # ------------------------------------------------------------------
 
@@ -339,7 +379,9 @@ def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Soluti
     start; picks that stopped being free are discarded lazily. In online
     mode every pick runs through the commit check.
 
-    The pass does the work of :meth:`Solution.insert` inline. Nothing
+    Each pick is ``rng.randrange(len(bucket))`` drawn inline as the
+    standard library draws it (:meth:`Solution.maximalize`). The pass
+    does the work of :meth:`Solution.insert` inline. Nothing
     leaves the solution during it, so the free set stays empty and is
     exact at the end, every base insert is queued once, and a commit,
     taken only at tightness 0, never deletes a solution member.
@@ -358,7 +400,7 @@ def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Soluti
     committed = sol.committed
     queued = sol._queued
     enqueue = sol._queue.append
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     top = max(map(live_degree.__getitem__, items))
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
     for v in items:
@@ -366,7 +408,11 @@ def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Soluti
     size = 0
     for bucket in buckets:
         while bucket:
-            i = randrange(len(bucket))
+            n = len(bucket)
+            k = n.bit_length()
+            i = getrandbits(k)   # rng.randrange(n), inline
+            while i >= n:
+                i = getrandbits(k)
             v = bucket[i]
             bucket[i] = bucket[-1]
             bucket.pop()
@@ -419,7 +465,15 @@ def find_one_two_swap(sol: Solution, v: int, pair_cap: int | None = None):
     ones = [u for u in g.adjacency[v] if tightness[u] == 1 and alive[u]]
     if len(ones) < 2:
         return None
-    sol.rng.shuffle(ones)
+    # rng.shuffle(ones), inline: the same draws and the same swaps
+    getrandbits = sol.rng.getrandbits
+    for i in range(len(ones) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        ones[i], ones[j] = ones[j], ones[i]
     examined = 0
     for i, u in enumerate(ones):
         for w in ones[i + 1:]:
@@ -435,10 +489,16 @@ def local_search(sol: Solution, pair_cap: int | None = None) -> int:
     """Apply (1,2)-swaps until the candidate queue drains; returns swaps."""
     swaps = 0
     sol.maximalize()
-    while True:
-        v = sol._pop_candidate()
-        if v is None:
-            break
+    queue = sol._queue
+    popleft = queue.popleft
+    queued = sol._queued
+    in_solution = sol.in_solution
+    alive = sol.graph.alive
+    while queue:
+        v = popleft()
+        queued[v] = False
+        if not (in_solution[v] and alive[v]):
+            continue
         found = find_one_two_swap(sol, v, pair_cap)
         if found is None:
             continue
@@ -467,23 +527,42 @@ def perturb(sol: Solution, params: PerturbationParams, rng: random.Random) -> No
     """Force vertices into the solution, favoring the longest-outside ones.
 
     Each forced vertex evicts its solution neighbors first; the solution
-    is re-maximalized at the end.
+    is re-maximalized at the end. Candidates are drawn as
+    ``rng.randrange(len(non_solution))``, inline; the earliest ``last_out``
+    wins, ties to the lower id. With nothing outside the solution there
+    is nothing to force, and the call returns before any draw.
     """
+    items = sol.non_solution.items
+    if not items:
+        return
     force = sample_force_count(rng)
     adjacency = sol.graph.adjacency
     in_solution = sol.in_solution
+    last_out = sol.last_out
+    pool = params.candidate_pool
+    getrandbits = rng.getrandbits
+    remove = sol.remove
+    insert = sol.insert
     for _ in range(force):
-        if len(sol.non_solution) == 0:
+        n = len(items)
+        if n == 0:
             break
-        pick = None
-        for _ in range(params.candidate_pool):
-            x = sol.non_solution.sample(rng)
-            if pick is None or (sol.last_out[x], x) < (sol.last_out[pick], pick):
+        k = n.bit_length()
+        pick = -1
+        pick_out = 0
+        for _ in range(pool):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            x = items[r]
+            out = last_out[x]
+            if pick < 0 or out < pick_out or (out == pick_out and x < pick):
                 pick = x
+                pick_out = out
         for y in adjacency[pick]:
             if in_solution[y]:
-                sol.remove(y)
-        sol.insert(pick)
+                remove(y)
+        insert(pick)
     sol.maximalize()
 
 

@@ -18,12 +18,14 @@ from fastmis.metrics import ConvergenceLog
 from fastmis.oracle import enumerate_swaps, exact_mis
 
 from util import (
+    ReferenceSolution,
     ba_graph,
     check_solution_state,
     complete_graph,
     cycle_graph,
     empty_graph,
     er_graph,
+    gnm_graph,
     greedy_reference,
     is_independent,
     mesh_graph,
@@ -340,6 +342,81 @@ def test_search_keeps_invariants_with_dead_vertices_and_commits():
             assert len(sol.free) == 0
             assert is_independent(original, sol.vertices())
     assert commits_during_search > 0
+
+
+def search_state(sol):
+    """Everything a search iteration writes: the greedy pass's fields,
+    plus the eviction clock and the first-move map in insertion order."""
+    state = full_state(sol)
+    state["last_out"] = sol.last_out
+    state["clock"] = sol.clock
+    first_move = sol._first_move
+    state["first_move"] = None if first_move is None else list(first_move.items())
+    return state
+
+
+@pytest.mark.parametrize("pair_cap", [None, 1])
+@pytest.mark.parametrize("online", [False, True])
+def test_search_matches_method_by_method_reference(online, pair_cap):
+    # the inlined draws, set updates and queue pushes must leave, after
+    # every iteration, the state the method-call search leaves
+    rng = random.Random(50 + 2 * online + (pair_cap is None))
+    commits = swaps = 0
+    for trial in range(36):
+        kind = trial % 3
+        if kind == 0:
+            g = er_graph(rng, rng.randrange(2, 60), rng.uniform(0.03, 0.3))
+        elif kind == 1:
+            g = ba_graph(rng, rng.randrange(2, 90), attach=(1, 2, 3))
+        else:
+            g = mesh_graph(rng, rng.randrange(2, 10))
+        if trial % 4:
+            for v in rng.sample(range(g.n), rng.randrange(g.n // 4 + 1)):
+                g.remove_vertex(v)   # as a cut or a kernel leaves the graph
+        params = PerturbationParams(candidate_pool=1 + trial % 4, pair_cap=pair_cap)
+        sol = greedy_initial(g, random.Random(rng.randrange(10**9)), online=online)
+        ref = ReferenceSolution.adopt(sol)
+        assert search_state(sol) == search_state(ref)
+        committed = sum(sol.committed)
+        best = sol.size
+        sol.mark_best()
+        ref.mark_best()
+        for iteration in range(30):
+            if len(sol.non_solution) == 0:
+                break
+            perturb(sol, params, sol.rng)
+            ref.perturb(params, ref.rng)
+            got = local_search(sol, pair_cap)
+            assert got == ref.local_search(pair_cap), (trial, iteration)
+            swaps += got
+            if sol.size > best:
+                best = sol.size
+                sol.mark_best()
+                ref.mark_best()
+            assert search_state(sol) == search_state(ref), (trial, iteration)
+        assert sol.materialize_best() == ref.materialize_best()
+        commits += sum(sol.committed) - committed
+    assert swaps > 0
+    assert (commits > 0) == online
+
+
+def test_draws_wait_for_a_non_empty_range():
+    # an inline draw over zero items would spin: perturb with nothing
+    # outside the solution and maximalize with nothing free return
+    # without touching the rng
+    for online in (False, True):
+        sol = greedy_initial(empty_graph(4), random.Random(3), online=online)
+        assert len(sol.non_solution) == 0
+        state = sol.rng.getstate()
+        perturb(sol, PerturbationParams(), sol.rng)
+        assert sol.maximalize() == 0
+        assert sol.rng.getstate() == state
+        assert sol.size == 4
+    sol = greedy_initial(gnm_graph(random.Random(8), 30, 60), random.Random(8))
+    assert len(sol.free) == 0 and len(sol.non_solution) > 0
+    state = sol.rng.getstate()
+    assert sol.maximalize() == 0
+    assert sol.rng.getstate() == state
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from itertools import combinations
 
 from fastmis.graph import Graph, load
-from fastmis.local_search import Solution
+from fastmis.local_search import Solution, commit_check, sample_force_count
 
 
 def path_graph(n: int) -> Graph:
@@ -265,9 +266,160 @@ def greedy_reference(g: Graph, rng: random.Random, online: bool = False) -> Solu
                 if g.alive[v] and not sol.in_solution[v] and sol.tightness[v] == 0:
                     sol.insert(v)
     for v in g.alive_vertices():
-        if sol.in_solution[v]:
-            sol._enqueue(v)
+        if sol.in_solution[v] and not sol._queued[v]:
+            sol._queued[v] = True
+            sol._queue.append(v)
     return sol
+
+
+def _set_add(s, v: int) -> None:
+    if s.pos[v] < 0:
+        s.pos[v] = len(s.items)
+        s.items.append(v)
+
+
+def _set_discard(s, v: int) -> None:
+    i = s.pos[v]
+    if i < 0:
+        return
+    last = s.items[-1]
+    s.items[i] = last
+    s.pos[last] = i
+    s.items.pop()
+    s.pos[v] = -1
+
+
+class ReferenceSolution(Solution):
+    """The iterated local search method by method: each set update, queue
+    push and pop is its own call, and every draw goes through
+    ``rng.randrange`` and ``rng.shuffle``. The inlined moves of
+    :class:`Solution` and the module-level search functions must leave
+    the same state and the same rng state."""
+
+    @classmethod
+    def adopt(cls, sol: Solution) -> ReferenceSolution:
+        """An independent copy of ``sol``, its graph and rng included."""
+        ref = copy.deepcopy(sol)
+        ref.__class__ = cls
+        return ref
+
+    def insert(self, v: int) -> None:
+        if self.in_solution[v] or not self.graph.alive[v]:
+            raise ValueError(f"vertex {v} is not insertable")
+        if self.tightness[v] != 0:
+            raise ValueError(f"vertex {v} has tightness {self.tightness[v]}")
+        if self.online and commit_check(self.graph, v):
+            self._commit(v)
+            return
+        self._base_insert(v)
+        self._enqueue(v)
+
+    def remove(self, v: int) -> None:
+        if not self.in_solution[v]:
+            raise ValueError(f"vertex {v} is not in the solution")
+        if self.committed[v]:
+            raise ValueError(f"vertex {v} is committed and cannot leave")
+        self.in_solution[v] = False
+        self.size -= 1
+        if self._first_move is not None:
+            self._first_move.setdefault(v, -1)
+        self.clock += 1
+        self.last_out[v] = self.clock
+        _set_add(self.non_solution, v)
+        for u in self.graph.adjacency[v]:
+            if not self.graph.alive[u]:
+                continue
+            self.tightness[u] -= 1
+            if not self.in_solution[u]:
+                if self.tightness[u] == 0:
+                    _set_add(self.free, u)
+                elif self.tightness[u] == 1:
+                    for y in self.graph.adjacency[u]:
+                        if self.in_solution[y]:
+                            self._enqueue(y)
+                            break
+        if self.tightness[v] == 0:
+            _set_add(self.free, v)
+
+    def maximalize(self) -> int:
+        gained = 0
+        while len(self.free):
+            self.insert(self.free.items[self.rng.randrange(len(self.free))])
+            gained += 1
+        return gained
+
+    def _base_insert(self, v: int) -> None:
+        self.in_solution[v] = True
+        self.size += 1
+        if self._first_move is not None:
+            self._first_move.setdefault(v, 1)
+        _set_discard(self.free, v)
+        _set_discard(self.non_solution, v)
+        for u in self.graph.adjacency[v]:
+            self.tightness[u] += 1
+            if self.tightness[u] == 1:
+                _set_discard(self.free, u)
+
+    def _enqueue(self, v: int) -> None:
+        if not self._queued[v]:
+            self._queued[v] = True
+            self._queue.append(v)
+
+    def _pop_candidate(self) -> int | None:
+        while self._queue:
+            v = self._queue.popleft()
+            self._queued[v] = False
+            if self.in_solution[v] and self.graph.alive[v]:
+                return v
+        return None
+
+    def find_one_two_swap(self, v: int, pair_cap: int | None):
+        g = self.graph
+        ones = [u for u in g.adjacency[v] if self.tightness[u] == 1 and g.alive[u]]
+        if len(ones) < 2:
+            return None
+        self.rng.shuffle(ones)
+        examined = 0
+        for i, u in enumerate(ones):
+            for w in ones[i + 1:]:
+                if pair_cap is not None and examined >= pair_cap:
+                    return None
+                examined += 1
+                if not g.has_live_edge(u, w):
+                    return u, w
+        return None
+
+    def local_search(self, pair_cap: int | None) -> int:
+        swaps = 0
+        self.maximalize()
+        while True:
+            v = self._pop_candidate()
+            if v is None:
+                return swaps
+            found = self.find_one_two_swap(v, pair_cap)
+            if found is None:
+                continue
+            u, w = found
+            self.remove(v)
+            self.insert(u)
+            self.insert(w)
+            swaps += 1
+            self.maximalize()
+
+    def perturb(self, params, rng: random.Random) -> None:
+        for _ in range(sample_force_count(rng)):
+            if len(self.non_solution) == 0:
+                break
+            pick = None
+            for _ in range(params.candidate_pool):
+                x = self.non_solution.items[rng.randrange(len(self.non_solution))]
+                if pick is None or (self.last_out[x], x) < (self.last_out[pick], pick):
+                    pick = x
+            for y in self.graph.adjacency[pick]:
+                if self.in_solution[y]:
+                    self.remove(y)
+            self.insert(pick)
+        self.maximalize()
 
 
 def double_cover_matching_size(g: Graph) -> int:
