@@ -7,6 +7,13 @@ and queues candidates so no vertex is re-examined for a (1,2)-swap until
 its neighborhood changes. One search iteration is a forced perturbation
 followed by swap-based local search.
 
+A (1,2)-swap at ``v`` needs two 1-tight neighbors of ``v``. Each
+solution vertex keeps ``ones_bound``, an upper bound on how many alive
+neighbors are 1-tight, and :func:`local_search` skips a candidate whose
+bound is below 2 without scanning its neighborhood. The skip happens
+exactly where :func:`find_one_two_swap` would return None before any rng
+draw, so the screen leaves every trajectory and rng state unchanged.
+
 The search walks ``graph.adjacency`` in place, dead entries included,
 and checks the ``alive`` flag only where a dead neighbor could change
 the outcome (see :class:`Solution`). Adjacency lists stay sorted, so
@@ -62,7 +69,8 @@ class Budget:
 
     Iteration budgets make runs reproducible; logs then use the
     iteration index as their time axis. ``target_size`` stops a run as
-    soon as the best reported size reaches it.
+    soon as the best reported size reaches it. ``seconds`` may be
+    ``math.inf``, but not NaN or negative: NaN never expires.
     """
 
     seconds: float | None = None
@@ -72,6 +80,10 @@ class Budget:
     def __post_init__(self) -> None:
         if self.seconds is None and self.iterations is None:
             raise ValueError("budget needs seconds or iterations")
+        if self.seconds is not None and not self.seconds >= 0:   # NaN too
+            raise ValueError(f"budget seconds must be non-negative, got {self.seconds}")
+        if self.iterations is not None and self.iterations < 0:
+            raise ValueError(f"budget iterations must be non-negative, got {self.iterations}")
 
     @property
     def deterministic(self) -> bool:
@@ -139,6 +151,16 @@ class Solution:
     move. They update the free and non-solution sets and push the
     candidate queue inline, in the order of the adjacency lists.
 
+    ``ones_bound[v]`` bounds from above the number of alive 1-tight
+    neighbors of a solution vertex ``v``. :meth:`insert` sets it to the
+    number of live neighbors whose tightness rose to 1, :meth:`remove`
+    adds 1 at the one solution neighbor of each vertex that turned
+    1-tight, and :func:`greedy_initial` counts as :meth:`insert` does.
+    It is never lowered: only a removal raises the true count after the
+    insertion, and a tightness rising to 2, a commit or a deletion only
+    lowers it. Outside the solution the entry is stale, and no outcome
+    depends on it.
+
     Best-set tracking keeps, for every vertex moved since the last
     :meth:`mark_best`, its first move since then (+1 in, -1 out): a
     vertex moves in and out by turns, so at the mark it stood opposite
@@ -170,6 +192,7 @@ class Solution:
         self.online = online
         self.in_solution = [False] * capacity
         self.tightness = [0] * capacity
+        self.ones_bound = [0] * capacity
         self.size = 0
         self.non_solution = _IndexedSet(capacity, graph.alive_vertices())
         self.committed = [False] * capacity
@@ -187,12 +210,14 @@ class Solution:
     def insert(self, v: int) -> None:
         """Add a free vertex; in online mode this may commit it instead.
 
-        Otherwise ``v`` leaves the free and non-solution sets, each
-        neighbor whose tightness rises to 1 leaves the free set, and
-        ``v`` joins the candidate queue unless it is queued already.
+        Otherwise ``v`` leaves the free and non-solution sets, each live
+        neighbor whose tightness rises to 1 leaves the free set and
+        counts towards ``ones_bound[v]``, and ``v`` joins the candidate
+        queue unless it is queued already.
         """
         in_solution = self.in_solution
-        if in_solution[v] or not self.graph.alive[v]:
+        alive = self.graph.alive
+        if in_solution[v] or not alive[v]:
             raise ValueError(f"vertex {v} is not insertable")
         tightness = self.tightness
         if tightness[v] != 0:
@@ -222,10 +247,13 @@ class Solution:
                 items[i] = last
                 pos[last] = i
             pos[v] = -1
+        ones = 0
         for u in self.graph.adjacency[v]:
             t = tightness[u] + 1
             tightness[u] = t
-            if t == 1:
+            if t == 1 and alive[u]:
+                # a dead u is in no set and takes part in no swap
+                ones += 1
                 i = pos[u]
                 if i >= 0:
                     last = items.pop()
@@ -233,6 +261,7 @@ class Solution:
                         items[i] = last
                         pos[last] = i
                     pos[u] = -1
+        self.ones_bound[v] = ones
         queued = self._queued
         if not queued[v]:
             queued[v] = True
@@ -241,7 +270,9 @@ class Solution:
     def remove(self, v: int) -> None:
         """Take ``v`` out: it joins the non-solution set, and the free set
         if it has no solution neighbor; each live neighbor outside the
-        solution whose tightness falls to 0 joins the free set."""
+        solution whose tightness falls to 0 joins the free set, and one
+        whose tightness falls to 1 adds 1 to the ``ones_bound`` of its
+        solution neighbor and queues it."""
         in_solution = self.in_solution
         if not in_solution[v]:
             raise ValueError(f"vertex {v} is not in the solution")
@@ -263,6 +294,7 @@ class Solution:
         items = self.free.items
         pos = self.free.pos
         queued = self._queued
+        ones_bound = self.ones_bound
         for u in adjacency[v]:
             if not alive[u]:
                 continue
@@ -278,6 +310,7 @@ class Solution:
                     # have gained a swap, so it goes back on the queue
                     for y in adjacency[u]:
                         if in_solution[y]:
+                            ones_bound[y] += 1
                             if not queued[y]:
                                 queued[y] = True
                                 self._queue.append(y)
@@ -397,6 +430,7 @@ def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Soluti
     remove_vertex = g.remove_vertex
     in_solution = sol.in_solution
     tightness = sol.tightness
+    ones_bound = sol.ones_bound
     committed = sol.committed
     queued = sol._queued
     enqueue = sol._queue.append
@@ -442,8 +476,13 @@ def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Soluti
                         pos[u] = -1
                 remove_vertex(v, False)
             else:
+                ones = 0
                 for u in adjacency[v]:
-                    tightness[u] += 1
+                    t = tightness[u] + 1
+                    tightness[u] = t
+                    if t == 1 and alive[u]:
+                        ones += 1
+                ones_bound[v] = ones
                 queued[v] = True
                 enqueue(v)
     sol.size = size
@@ -486,7 +525,11 @@ def find_one_two_swap(sol: Solution, v: int, pair_cap: int | None = None):
 
 
 def local_search(sol: Solution, pair_cap: int | None = None) -> int:
-    """Apply (1,2)-swaps until the candidate queue drains; returns swaps."""
+    """Apply (1,2)-swaps until the candidate queue drains; returns swaps.
+
+    A popped candidate whose ``ones_bound`` is below 2 is skipped:
+    :func:`find_one_two_swap` would return None for it before any draw.
+    """
     swaps = 0
     sol.maximalize()
     queue = sol._queue
@@ -494,10 +537,11 @@ def local_search(sol: Solution, pair_cap: int | None = None) -> int:
     queued = sol._queued
     in_solution = sol.in_solution
     alive = sol.graph.alive
+    ones_bound = sol.ones_bound
     while queue:
         v = popleft()
         queued[v] = False
-        if not (in_solution[v] and alive[v]):
+        if ones_bound[v] < 2 or not (in_solution[v] and alive[v]):
             continue
         found = find_one_two_swap(sol, v, pair_cap)
         if found is None:

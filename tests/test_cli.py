@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fastmis
 from fastmis.cli import (
     ParseError,
     main,
@@ -311,6 +316,29 @@ def test_solve_kernel_mode_no_budget(tmp_path, capsys):
 def test_solve_requires_budget(tmp_path):
     graph = write(tmp_path / "p5.metis", P5_METIS)
     assert main(["solve", "--algo", "arw", "--graph", graph]) == 2
+
+
+@pytest.mark.parametrize("limit", [
+    ["--time-limit", "nan"],
+    ["--time-limit", "-3"],
+    ["--iterations", "-3"],
+])
+def test_solve_rejects_invalid_budget(tmp_path, limit):
+    # a NaN time limit would never expire: run the CLI in a subprocess,
+    # so that a hang fails the test instead of stalling the suite
+    graph = write(tmp_path / "p5.metis", P5_METIS)
+    env = dict(os.environ)
+    src = str(Path(fastmis.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from fastmis.cli import main; sys.exit(main(sys.argv[1:]))",
+         "solve", "--algo", "arw", "--graph", graph, *limit],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("fastmis: budget ")
+    assert result.stdout == ""
 
 
 def test_solve_missing_file_errors():

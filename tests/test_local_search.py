@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -426,6 +427,26 @@ def test_draws_wait_for_a_non_empty_range():
 def test_budget_requires_a_limit():
     with pytest.raises(ValueError):
         Budget()
+
+
+@pytest.mark.parametrize("limits", [
+    {"seconds": math.nan},
+    {"seconds": -3.0},
+    {"iterations": -3},
+    {"seconds": math.nan, "iterations": 5},
+    {"seconds": 1.0, "iterations": -1},
+])
+def test_budget_rejects_nan_and_negative_limits(limits):
+    # a NaN time limit never expires; negative limits stop before the
+    # first iteration, which only hides the mistake
+    with pytest.raises(ValueError, match="budget"):
+        Budget(**limits)
+
+
+def test_budget_accepts_infinite_seconds_and_zero_limits():
+    assert Budget(seconds=math.inf, iterations=10).expired(10, 0.0)
+    assert Budget(seconds=0.0).expired(0, 0.0)
+    assert Budget(iterations=0).expired(0, 0.0)
 
 
 def test_run_zero_budget_returns_input():

@@ -167,7 +167,8 @@ def is_independent(g: Graph, solution) -> bool:
 
 
 def check_solution_state(sol) -> None:
-    """Full rescan of the incremental search structures."""
+    """Full rescan of the incremental search structures; ``ones_bound``
+    must be at least the rescanned number of 1-tight neighbors."""
     g = sol.graph
     members = sol.vertices()
     assert sol.size == len(members)
@@ -181,6 +182,10 @@ def check_solution_state(sol) -> None:
         should_free = not sol.in_solution[v] and want == 0
         assert (v in sol.free) == should_free, f"free flag wrong at {v}"
         assert (v in sol.non_solution) == (not sol.in_solution[v])
+        if sol.in_solution[v] and not sol.committed[v]:
+            ones = sum(1 for u in g.neighbors_live(v) if sol.tightness[u] == 1)
+            assert sol.ones_bound[v] >= ones, \
+                f"ones_bound[{v}]={sol.ones_bound[v]} below {ones} 1-tight neighbors"
 
 
 def unconfined_reference(g: Graph, v: int) -> bool:
