@@ -23,6 +23,7 @@ from .pipelines import ker_mis, online_mis, plain_arw
 from .reductions import (
     ALL_RULES,
     KERMIS_RULES,
+    ONLINE_RULES,
     KernelResult,
     ReductionStack,
     kernelize,
@@ -39,6 +40,7 @@ __all__ = [
     "GraphFormatError",
     "KERMIS_RULES",
     "KernelResult",
+    "ONLINE_RULES",
     "PerturbationParams",
     "ReductionStack",
     "Solution",

@@ -15,14 +15,19 @@ import random
 from .graph import Graph
 
 
+def check_fraction(fraction: float) -> None:
+    """ValueError unless ``fraction`` lies within [0, 1]; NaN fails too."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be within [0, 1]")
+
+
 def cut_relative(g: Graph, fraction: float, rng: random.Random) -> list[int]:
     """Remove ceil(fraction * alive) vertices, always a current max-degree one.
 
     Returns the removed ids in removal order. Runs on a degree-bucket
     structure so the whole pass costs O(n + m).
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be within [0, 1]")
+    check_fraction(fraction)
     vertices = g.alive_vertices()
     count = math.ceil(fraction * len(vertices))
     if count == 0:
@@ -75,8 +80,7 @@ def cut_snapshot_top(g: Graph, fraction: float, rng: random.Random) -> list[int]
     Degrees are ranked once, before any removal, with random tie order;
     this is the marking pass the online pipeline uses.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be within [0, 1]")
+    check_fraction(fraction)
     vertices = g.alive_vertices()
     count = math.ceil(fraction * len(vertices))
     if count == 0:

@@ -2,6 +2,14 @@
 
 Every pipeline copies the input graph, runs its stages on the copy, and
 returns original vertex ids forming an independent set of the input.
+The two reducing pipelines differ only in their rules and cut, and share
+the search of the residual graph and the lift (:func:`_search_residual`).
+
+Where ``onlinemis`` departs from the paper: the paper commits a vertex
+whose degree-<=2 closed neighborhood is a clique whenever the greedy
+pass or the search meets one, while :func:`online_mis` runs the pendant
+and simplicial rules to a fixpoint before the search starts, and its
+simplicial rule has no degree bound.
 """
 
 from __future__ import annotations
@@ -9,31 +17,32 @@ from __future__ import annotations
 import random
 import time
 
-from .cut import cut_relative, cut_snapshot_top
+from .cut import check_fraction, cut_relative, cut_snapshot_top
 from .graph import Graph
 from .local_search import Budget, PerturbationParams, greedy_initial, run_iterated
 from .metrics import ConvergenceLog
-from .reductions import KERMIS_RULES, kernelize, lift_solution
+from .reductions import KERMIS_RULES, ONLINE_RULES, ReductionStack, kernelize, lift_solution
 
 
 def online_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random,
                log: ConvergenceLog | None = None,
                params: PerturbationParams | None = None) -> set[int]:
-    """Cut the top snapshot-degree slice, then search with online commits.
+    """Cut the top snapshot-degree slice, reduce to a fixpoint, search.
 
-    A single greedy pass builds the initial solution, permanently
-    committing every tested vertex that passes the degree-<=2 clique
-    check; the same check keeps running on every insertion during
-    search, so the graph keeps shrinking as the search walks it. The
-    pass does not chase a reduction fixpoint.
+    After the cut, the pendant and simplicial rules run to a fixpoint
+    (:data:`~fastmis.reductions.ONLINE_RULES`), and the search works on
+    what is left, with the online commit check switched on; the module
+    docstring says where this departs from the paper. At the fixpoint no
+    alive vertex passes the commit check, and the search deletes no
+    vertex, so the check never fires. Logged sizes include the committed
+    vertices, and an empty residual graph skips the search.
     """
     start = time.perf_counter()
-    if log is None:
-        log = ConvergenceLog()
+    check_fraction(cut_fraction)
     work = g.copy()
     cut_snapshot_top(work, cut_fraction, rng)
-    sol = greedy_initial(work, rng, online=True)
-    return run_iterated(work, sol, budget, log, rng, params, start_time=start)
+    stack = kernelize(work, rules=ONLINE_RULES).stack
+    return _search_residual(work, stack, budget, rng, log, params, start, online=True)
 
 
 def ker_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random,
@@ -48,21 +57,30 @@ def ker_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random,
     entirely and the lifted solution is exact.
     """
     start = time.perf_counter()
+    check_fraction(cut_fraction)
+    work = g.copy()
+    stack = kernelize(work, rules=KERMIS_RULES).stack
+    cut_relative(work, cut_fraction, rng)
+    return _search_residual(work, stack, budget, rng, log, params, start, online=False)
+
+
+def _search_residual(work: Graph, stack: ReductionStack, budget: Budget,
+                     rng: random.Random, log: ConvergenceLog | None,
+                     params: PerturbationParams | None, start: float,
+                     online: bool) -> set[int]:
+    """Search the residual graph ``work`` and lift the best set through
+    ``stack``; an empty residual graph skips the search."""
     if log is None:
         log = ConvergenceLog()
-    work = g.copy()
-    result = kernelize(work, rules=KERMIS_RULES)
-    cut_relative(work, cut_fraction, rng)
-    lifted_bonus = result.stack.offset
     if work.alive_count() == 0:
-        lifted = lift_solution(result.stack, set())
+        lifted = lift_solution(stack, set())
         elapsed = 0.0 if budget.deterministic else time.perf_counter() - start
         log.append(elapsed, len(lifted))
         return lifted
-    sol = greedy_initial(work, rng)
+    sol = greedy_initial(work, rng, online=online)
     best = run_iterated(work, sol, budget, log, rng, params,
-                        size_offset=lifted_bonus, start_time=start)
-    return lift_solution(result.stack, best)
+                        size_offset=stack.offset, start_time=start)
+    return lift_solution(stack, best)
 
 
 def plain_arw(g: Graph, budget: Budget, rng: random.Random,

@@ -55,8 +55,10 @@ RULE_ORDER = (
 
 ALL_RULES = frozenset(RULE_ORDER)
 # the preprocessing pipeline runs the advanced-rule set without the
-# simplicial rule; the online pipeline uses only the simplicial rule
+# simplicial rule; the online pipeline runs only the two cheap rules that
+# take a vertex into the solution, the pendant rule first
 KERMIS_RULES = ALL_RULES - {"isolated"}
+ONLINE_RULES = frozenset({"pendant", "isolated"})
 
 
 # ----------------------------------------------------------------------

@@ -318,6 +318,25 @@ def test_solve_requires_budget(tmp_path):
     assert main(["solve", "--algo", "arw", "--graph", graph]) == 2
 
 
+def run_module(*args, module="fastmis"):
+    """``python -m MODULE ARGS`` in a subprocess, with this package first
+    on the import path."""
+    env = dict(os.environ)
+    src = str(Path(fastmis.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("module", ["fastmis", "fastmis.cli"])
+def test_python_m_solves(tmp_path, module):
+    graph = write(tmp_path / "p5.metis", P5_METIS)
+    result = run_module("solve", "--algo", "onlinemis", "--graph", graph,
+                        "--cut-fraction", "0", "--iterations", "50", module=module)
+    assert result.returncode == 0, result.stderr
+    assert "size=3" in result.stdout
+
+
 @pytest.mark.parametrize("limit", [
     ["--time-limit", "nan"],
     ["--time-limit", "-3"],
@@ -327,15 +346,7 @@ def test_solve_rejects_invalid_budget(tmp_path, limit):
     # a NaN time limit would never expire: run the CLI in a subprocess,
     # so that a hang fails the test instead of stalling the suite
     graph = write(tmp_path / "p5.metis", P5_METIS)
-    env = dict(os.environ)
-    src = str(Path(fastmis.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from fastmis.cli import main; sys.exit(main(sys.argv[1:]))",
-         "solve", "--algo", "arw", "--graph", graph, *limit],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    result = run_module("solve", "--algo", "arw", "--graph", graph, *limit)
     assert result.returncode == 1
     assert result.stderr.startswith("fastmis: budget ")
     assert result.stdout == ""
