@@ -25,9 +25,10 @@ permanently and their neighborhoods leave the residual graph for good.
 The check counts live neighbors instead of reading ``live_degree``, so
 commits remove vertices without the degree update
 (``update_degrees=False``): after the first commit the graph's live
-degrees still count the removed vertices. :func:`~fastmis.pipelines.online_mis`
-runs the pendant and simplicial rules to a fixpoint first; no vertex
-passes the check there, so its search never commits.
+degrees still count the removed vertices.
+No pipeline uses online mode: :func:`~fastmis.pipelines.online_mis`
+runs the pendant and simplicial rules to a fixpoint first, where no
+vertex would pass the check, and then searches in plain mode.
 
 :func:`run_iterated` returns the best set it has seen without copying
 it at each improvement: the solution records the first move of each

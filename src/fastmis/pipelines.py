@@ -8,8 +8,8 @@ the search of the residual graph and the lift (:func:`_search_residual`).
 Where ``onlinemis`` departs from the paper: the paper commits a vertex
 whose degree-<=2 closed neighborhood is a clique whenever the greedy
 pass or the search meets one, while :func:`online_mis` runs the pendant
-and simplicial rules to a fixpoint before the search starts, and its
-simplicial rule has no degree bound.
+and simplicial rules to a fixpoint before a plain search starts, and
+its simplicial rule has no degree bound.
 """
 
 from __future__ import annotations
@@ -30,19 +30,17 @@ def online_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random
     """Cut the top snapshot-degree slice, reduce to a fixpoint, search.
 
     After the cut, the pendant and simplicial rules run to a fixpoint
-    (:data:`~fastmis.reductions.ONLINE_RULES`), and the search works on
-    what is left, with the online commit check switched on; the module
-    docstring says where this departs from the paper. At the fixpoint no
-    alive vertex passes the commit check, and the search deletes no
-    vertex, so the check never fires. Logged sizes include the committed
-    vertices, and an empty residual graph skips the search.
+    (:data:`~fastmis.reductions.ONLINE_RULES`), and the plain search
+    works on what is left; the module docstring says where this departs
+    from the paper. Logged sizes include the vertices the rules took,
+    and an empty residual graph skips the search.
     """
     start = time.perf_counter()
     check_fraction(cut_fraction)
     work = g.copy()
     cut_snapshot_top(work, cut_fraction, rng)
     stack = kernelize(work, rules=ONLINE_RULES).stack
-    return _search_residual(work, stack, budget, rng, log, params, start, online=True)
+    return _search_residual(work, stack, budget, rng, log, params, start)
 
 
 def ker_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random,
@@ -61,13 +59,12 @@ def ker_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random,
     work = g.copy()
     stack = kernelize(work, rules=KERMIS_RULES).stack
     cut_relative(work, cut_fraction, rng)
-    return _search_residual(work, stack, budget, rng, log, params, start, online=False)
+    return _search_residual(work, stack, budget, rng, log, params, start)
 
 
 def _search_residual(work: Graph, stack: ReductionStack, budget: Budget,
                      rng: random.Random, log: ConvergenceLog | None,
-                     params: PerturbationParams | None, start: float,
-                     online: bool) -> set[int]:
+                     params: PerturbationParams | None, start: float) -> set[int]:
     """Search the residual graph ``work`` and lift the best set through
     ``stack``; an empty residual graph skips the search."""
     if log is None:
@@ -77,7 +74,7 @@ def _search_residual(work: Graph, stack: ReductionStack, budget: Budget,
         elapsed = 0.0 if budget.deterministic else time.perf_counter() - start
         log.append(elapsed, len(lifted))
         return lifted
-    sol = greedy_initial(work, rng, online=online)
+    sol = greedy_initial(work, rng)
     best = run_iterated(work, sol, budget, log, rng, params,
                         size_offset=stack.offset, start_time=start)
     return lift_solution(stack, best)

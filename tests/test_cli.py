@@ -331,10 +331,17 @@ def run_module(*args, module="fastmis"):
 @pytest.mark.parametrize("module", ["fastmis", "fastmis.cli"])
 def test_python_m_solves(tmp_path, module):
     graph = write(tmp_path / "p5.metis", P5_METIS)
+    # no cut: the default 1% cut removes one of the path's three middle
+    # vertices, and then the best set has only 2 vertices
+    out = str(tmp_path / "out.sol")
     result = run_module("solve", "--algo", "onlinemis", "--graph", graph,
-                        "--cut-fraction", "0", "--iterations", "50", module=module)
+                        "--cut-fraction", "0", "--iterations", "50",
+                        "--solution", out, module=module)
     assert result.returncode == 0, result.stderr
     assert "size=3" in result.stdout
+    result = run_module("verify", "--graph", graph, "--solution", out, module=module)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("independent size=3 ")
 
 
 @pytest.mark.parametrize("limit", [
