@@ -20,14 +20,14 @@ class ConvergenceLog:
     points: list[tuple[float, int]] = field(default_factory=list)
 
     def append(self, elapsed: float, size: int) -> None:
+        if not elapsed >= 0:   # NaN too
+            raise ValueError("elapsed must be nonnegative")
         if self.points:
             last_t, last_s = self.points[-1]
             if elapsed < last_t:
                 raise ValueError("elapsed times must be nondecreasing")
             if size <= last_s:
                 raise ValueError("sizes must be strictly increasing")
-        if elapsed < 0:
-            raise ValueError("elapsed must be nonnegative")
         self.points.append((elapsed, size))
 
     def best_size(self) -> int:

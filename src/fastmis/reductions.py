@@ -6,7 +6,15 @@ independent set of the reduced graph can be mapped back to one of the
 input graph (:func:`lift_solution`). Every rule has the signature
 ``(g, stack) -> int``: the stack carries the undo log and the packing
 constraints, which are always tracked. :func:`kernelize` runs an enabled
-subset of rules to a fixpoint, cheapest rules first.
+subset of rules to a fixpoint, cheapest rules first, and restarts from the
+first rule after any rule fires. It does not rerun a rule that is settled:
+one of :data:`FIXPOINT_RULES` that has run since another rule last fired.
+Pendant, isolated and fold return only at their own fixpoint through
+worklists, and packing through its progress loop. LP does too, by the
+Nemhauser-Trotter argument: it removes the integral part of the optimum
+with the fewest halves, and the rest of the graph then has the all-1/2
+point as its only optimum. Unconfined, twin and alternative make a single
+pass and are always rerun.
 
 Rules do not commute, so which vertices a rule takes, and in what order,
 decides the kernel. A faster rewrite of a scan may therefore not change
@@ -59,6 +67,9 @@ ALL_RULES = frozenset(RULE_ORDER)
 # take a vertex into the solution, the pendant rule first
 KERMIS_RULES = ALL_RULES - {"isolated"}
 ONLINE_RULES = frozenset({"pendant", "isolated"})
+# rules that return only at their own fixpoint, so an immediate rerun
+# finds nothing and changes nothing (see the module docstring)
+FIXPOINT_RULES = frozenset({"pendant", "isolated", "fold", "lp", "packing"})
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +651,7 @@ def lp_relaxation_values(g: Graph) -> dict[int, float]:
         elif in_sink[x]:
             side[x] = -1
 
-    _round_middle(adj, match_r, side, k)
+    _round_middle(adj, match_l, match_r, side, k)
 
     values: dict[int, float] = {}
     for i, v in enumerate(vertices):
@@ -654,7 +665,7 @@ def lp_relaxation_values(g: Graph) -> dict[int, float]:
     return values
 
 
-def _round_middle(adj, match_r, side, k) -> None:
+def _round_middle(adj, match_l, match_r, side, k) -> None:
     """Assign undecided residual components, splitting mirror pairs.
 
     Components are processed successors-first; a component joins the
@@ -662,21 +673,32 @@ def _round_middle(adj, match_r, side, k) -> None:
     which yields integral values for every mirror-split vertex. Each
     choice is written to ``side`` at once: a successor outside the
     component is decided already, and a later component reads as 0.
+
+    The middle is most often one strongly connected component, which
+    :func:`_one_component` confirms with one search each way; only a
+    middle that splits pays for successor lists and Tarjan. The choice
+    does not depend on the order of a component's members, so both paths
+    write the same ``side``.
     """
     middle = [x for x in range(2 * k) if side[x] == 0]
     if not middle:
         return
-    # residual arcs inside the middle: Li -> Rj per edge, Rj -> Li matched;
-    # lists only for the middle, which can be a small part of 2k nodes
-    succ: list[list[int] | None] = [None] * (2 * k)
-    for x in middle:
-        if x < k:
-            succ[x] = [k + j for j in adj[x] if side[k + j] == 0]
-        else:
-            i = match_r[x - k]
-            succ[x] = [i] if i != -1 and side[i] == 0 else []
+    if _one_component(adj, match_l, match_r, side, k, middle):
+        components = [middle]
+    else:
+        # residual arcs inside the middle: Li -> Rj per edge, Rj -> Li
+        # matched; lists only for the middle, which can be a small part
+        # of 2k nodes
+        succ: list[list[int] | None] = [None] * (2 * k)
+        for x in middle:
+            if x < k:
+                succ[x] = [k + j for j in adj[x] if side[k + j] == 0]
+            else:
+                i = match_r[x - k]
+                succ[x] = [i] if i != -1 and side[i] == 0 else []
+        components = _tarjan_scc(middle, succ, 2 * k)
 
-    for members in _tarjan_scc(middle, succ, 2 * k):
+    for members in components:
         # members read 0 until decided, so a -1 or +1 is always outside
         can_source = True
         mirror_on_source = False
@@ -696,6 +718,61 @@ def _round_middle(adj, match_r, side, k) -> None:
         choice = 1 if (can_source and not mirror_on_source) else -1
         for x in members:
             side[x] = choice
+
+
+def _one_component(adj, match_l, match_r, side, k, middle) -> bool:
+    """Whether the ``middle`` nodes (``side`` 0) are one strongly connected
+    component: a forward and a backward search from its first node must
+    each reach all of them.
+
+    The predecessors of Rj are the Li with i in adj[j], since the double
+    cover mirrors every edge; the one predecessor of Li is its matched
+    right copy. Middle nodes are always matched, since free left copies
+    seed the source side and free right copies the sink side.
+    """
+    # successors of the middle lie in the middle or on the source side,
+    # predecessors in the middle or on the sink side, so ``seen`` starts
+    # as a copy of ``side``: 0 marks a middle node not reached yet
+    root = middle[0]
+    size = len(middle)
+    seen = side[:]
+    seen[root] = 2
+    todo = [root]
+    reached = 1
+    while todo:
+        x = todo.pop()
+        if x < k:
+            for j in adj[x]:
+                if not seen[k + j]:
+                    seen[k + j] = 2
+                    reached += 1
+                    todo.append(k + j)
+        else:
+            y = match_r[x - k]
+            if not seen[y]:
+                seen[y] = 2
+                reached += 1
+                todo.append(y)
+    if reached < size:
+        return False
+    seen[root] = 3
+    todo = [root]
+    reached = 1
+    while todo:
+        x = todo.pop()
+        if x < k:
+            y = k + match_l[x]
+            if seen[y] == 2:
+                seen[y] = 3
+                reached += 1
+                todo.append(y)
+        else:
+            for y in adj[x - k]:
+                if seen[y] == 2:
+                    seen[y] = 3
+                    reached += 1
+                    todo.append(y)
+    return reached == size
 
 
 def _tarjan_scc(nodes, succ, limit):
@@ -857,8 +934,12 @@ def reduce_packing_k0(g: Graph, stack: ReductionStack) -> int:
 
 
 def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
-    """Run enabled rules to a fixpoint, cheapest first, restarting from the
-    top after any application. Mutates ``g`` in place.
+    """Run enabled rules to a fixpoint, cheapest first. Mutates ``g`` in place.
+
+    After any rule fires the scan restarts from the first rule, but a rule
+    in :data:`FIXPOINT_RULES` that has run since another rule last fired
+    is skipped: rerun on the same graph it would return 0 and change
+    nothing, so the kernel is the one a full rescan gives.
     """
     enabled = frozenset(rules)
     unknown = enabled - ALL_RULES
@@ -878,18 +959,25 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
         "alternative": reduce_alternative,
         "packing": reduce_packing_k0,
     }
-    active = [(name, by_name[name]) for name in RULE_ORDER if name in enabled]
+    active = [(name, by_name[name], name in FIXPOINT_RULES)
+              for name in RULE_ORDER if name in enabled]
     stack = ReductionStack(g)
-    counts = {name: 0 for name, _ in active}
+    counts = {name: 0 for name, _, _ in active}
+    settled: set[str] = set()   # fixpoint rules run since another rule fired
     applied = True
     while applied:
         applied = False
-        for name, rule in active:
+        for name, rule, at_fixpoint in active:
+            if name in settled:
+                continue
             fired = rule(g, stack)
-            counts[name] += fired
             if fired:
+                counts[name] += fired
+                settled = {name} if at_fixpoint else set()
                 applied = True
                 break
+            if at_fixpoint:
+                settled.add(name)
     return KernelResult(
         stack=stack,
         per_rule_counts=counts,

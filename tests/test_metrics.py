@@ -40,6 +40,22 @@ def test_append_enforces_monotonicity():
     log.append(2.0, 6)
 
 
+def test_append_rejects_negative_and_nan_elapsed(tmp_path):
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ConvergenceLog().append(bad, 3)
+        log = make_log([(1.0, 2)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            log.append(bad, 3)
+        assert log.points == [(1.0, 2)]
+    # a NaN line in a log file is refused on read, rather than loaded
+    # into a log whose time_to_size would answer NaN
+    path = tmp_path / "log.csv"
+    path.write_text("# instance=g algorithm=a seed=0\nnan,3\n")
+    with pytest.raises(ValueError, match="nonnegative"):
+        read_log(path)
+
+
 def test_time_to_size_examples():
     log = make_log([(1.0, 5), (3.0, 9)])
     assert time_to_size(log, 9) == 3.0

@@ -6,9 +6,12 @@ import pytest
 from fastmis.graph import load
 from fastmis.local_search import commit_check
 from fastmis.oracle import exact_mis
+from fastmis import reductions
 from fastmis.reductions import (
     ALL_RULES,
+    FIXPOINT_RULES,
     KERMIS_RULES,
+    RULE_ORDER,
     ConstraintStore,
     Fold,
     IncludeVertex,
@@ -44,6 +47,7 @@ from util import (
     mesh_graph,
     path_graph,
     pendant_reference,
+    petersen_graph,
     random_tree,
     star_graph,
     unconfined_reference,
@@ -251,6 +255,50 @@ def test_lp_values_certified_by_matching_at_scale(build):
     for v, x in values.items():
         if x == 1.0:
             assert all(values[u] == 0.0 for u in g.neighbors_live(v)), v
+
+
+def test_lp_leaves_only_halves():
+    # Nemhauser-Trotter: once the integral part of the optimum with the
+    # fewest halves is removed, the rest has the all-1/2 point as its only
+    # optimum, which is why kernelize never reruns a settled LP rule
+    rng = random.Random(19)
+    graphs = [gnm_graph(rng, n, rng.randrange(n, 3 * n))
+              for n in (20, 50, 120, 300, 600)]
+    graphs += [ba_graph(random.Random(seed), 400, attach=(1, 2, 4))
+               for seed in (20, 21)]
+    graphs += [mesh_graph(random.Random(22), 20)]
+    for seed in (23, 24):   # partly reduced: fold vertices, dead ids
+        g = gnm_graph(random.Random(seed), 300, 700)
+        kernelize(g, rules={"pendant", "fold"})
+        graphs.append(g)
+    fired = 0
+    for g in graphs:
+        fired += reduce_lp(g, ReductionStack(g))
+        assert set(lp_relaxation_values(g).values()) <= {0.5}
+    assert fired > 100
+
+
+def test_one_component_check_matches_tarjan(monkeypatch):
+    # the one-component shortcut and Tarjan must round the middle alike
+    taken = {True: 0, False: 0}
+    check = reductions._one_component
+
+    def recorded(*args):
+        result = check(*args)
+        taken[result] += 1
+        return result
+
+    rng = random.Random(29)
+    graphs = [er_graph(rng, rng.randrange(2, 60), rng.uniform(0.02, 0.3))
+              for _ in range(150)]
+    graphs += [gnm_graph(rng, 400, 900), mesh_graph(rng, 15),
+               ba_graph(rng, 300, attach=(1, 2, 4))]
+    for g in graphs:
+        monkeypatch.setattr(reductions, "_one_component", recorded)
+        values = lp_relaxation_values(g)
+        monkeypatch.setattr(reductions, "_one_component", lambda *args: False)
+        assert lp_relaxation_values(g) == values
+    assert taken[True] > 20 and taken[False] > 20
 
 
 # ----------------------------------------------------------------------
@@ -504,6 +552,64 @@ def test_kernelize_fixpoint():
         kernelize(g, rules=ALL_RULES)
         again = kernelize(g, rules=ALL_RULES)
         assert sum(again.per_rule_counts.values()) == 0
+
+
+RULE_FUNCTIONS = {
+    "pendant": reduce_pendant,
+    "isolated": reduce_isolated,
+    "fold": reduce_fold,
+    "lp": reduce_lp,
+    "unconfined": reduce_unconfined,
+    "twin": reduce_twin,
+    "alternative": reduce_alternative,
+    "packing": reduce_packing_k0,
+}
+
+
+def test_fixpoint_rules_find_nothing_when_rerun():
+    # kernelize skips a settled rule on the promise that an immediate
+    # rerun returns 0 and changes nothing; random rule sequences reach
+    # states with folded vertices and live packing constraints
+    rng = random.Random(31)
+    graphs = [er_graph(rng, rng.randrange(2, 40), rng.uniform(0.05, 0.4))
+              for _ in range(300)]
+    graphs += [ba_graph(random.Random(seed), 300, attach=(1, 2, 4))
+               for seed in (32, 33)]
+    graphs += [mesh_graph(random.Random(seed), 12) for seed in (34, 35)]
+    fired = {name: 0 for name in RULE_ORDER}
+    constraints = 0
+    for g in graphs:
+        stack = ReductionStack(g)
+        for _ in range(12):
+            name = rng.choice(RULE_ORDER)
+            fired[name] += RULE_FUNCTIONS[name](g, stack)
+            if name in FIXPOINT_RULES:
+                entries, alive = len(stack.entries), g.alive[:]
+                assert RULE_FUNCTIONS[name](g, stack) == 0, name
+                assert (len(stack.entries), g.alive) == (entries, alive)
+        constraints += len(stack.constraints.constraints)
+    assert all(fired[name] > 0 for name in FIXPOINT_RULES), fired
+    assert constraints > 100
+
+
+def test_kernelize_runs_settled_lp_once(monkeypatch):
+    # K(3,5) leaves to LP alone, which takes its larger side; the Petersen
+    # graph is reduced by no KERMIS rule, so nothing fires after LP
+    edges = [(a, b) for a in range(3) for b in range(3, 8)]
+    edges += [(8 + u, 8 + v) for u, v in petersen_graph().edges()]
+    g = load(edges, 18)
+    calls = []
+
+    def counted(g, stack):
+        calls.append(g.alive_count())
+        return reduce_lp(g, stack)
+
+    monkeypatch.setattr(reductions, "reduce_lp", counted)
+    result = kernelize(g, rules=KERMIS_RULES)
+    assert result.per_rule_counts == {name: 8 if name == "lp" else 0
+                                      for name in KERMIS_RULES}
+    assert calls == [18]
+    assert result.reduced_n == 10
 
 
 def test_kernelize_rejects_unknown_rule():
