@@ -305,6 +305,8 @@ def _cmd_speedup(args) -> int:
 
 
 def _cmd_quality_time(args) -> int:
+    if not 0.0 < args.quality <= 1.0:   # NaN too
+        raise ValueError(f"quality must be within (0, 1], got {args.quality}")
     logs = [(path, read_log(path)) for path in args.logs]
     best = max(log.best_size() for _, log in logs)
     target = args.quality * best

@@ -6,9 +6,9 @@ and are appended so input ids stay stable for solution reporting. Removing
 a vertex flips an ``alive`` flag instead of rewriting adjacency lists.
 :meth:`Graph.neighbors_live` filters dead entries into a fresh list; the
 hot scans (the local search and its online commit check,
-:meth:`Graph.is_simplicial`, and the pendant, LP, unconfined and
-alternative rules) walk ``adjacency`` in place instead and check
-``alive`` inline. Cutting and the rest of the rules ask
+:meth:`Graph.is_simplicial`, and the pendant, simplicial, LP,
+unconfined and alternative rules) walk ``adjacency`` in place instead
+and check ``alive`` inline. Cutting and the rest of the rules ask
 ``neighbors_live``. Adjacency lists are kept sorted so edge tests can
 bisect them, twin signatures compare equal, and every scan visits
 neighbors in a fixed order.

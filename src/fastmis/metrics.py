@@ -81,12 +81,15 @@ def write_log(log: ConvergenceLog, path) -> None:
 
 
 def read_log(path) -> ConvergenceLog:
+    """Parse a file of :func:`write_log`; ValueError naming the path and
+    line for a malformed line or a point out of order."""
     log = ConvergenceLog()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if line.startswith("#"):
                 for token in line[1:].split():
                     key, _, value = token.partition("=")
@@ -96,8 +99,24 @@ def read_log(path) -> ConvergenceLog:
                     elif key == "algorithm":
                         log.algorithm = value
                     elif key == "seed":
-                        log.seed = int(value)
+                        try:
+                            log.seed = int(value)
+                        except ValueError:
+                            raise ValueError(f"{where}: bad seed {value!r}") from None
                 continue
-            t_text, _, s_text = line.partition(",")
-            log.append(float(t_text), int(s_text))
+            t_text, comma, s_text = line.partition(",")
+            if not comma:
+                raise ValueError(f"{where}: expected 'elapsed,size', got {line!r}")
+            try:
+                elapsed = float(t_text)
+            except ValueError:
+                raise ValueError(f"{where}: bad elapsed time {t_text!r}") from None
+            try:
+                size = int(s_text)
+            except ValueError:
+                raise ValueError(f"{where}: bad size {s_text!r}") from None
+            try:
+                log.append(elapsed, size)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return log

@@ -5,10 +5,15 @@ size, pushing enough bookkeeping onto a :class:`ReductionStack` that any
 independent set of the reduced graph can be mapped back to one of the
 input graph (:func:`lift_solution`). Every rule has the signature
 ``(g, stack) -> int``: the stack carries the undo log and the packing
-constraints, which are always tracked. :func:`kernelize` runs an enabled
-subset of rules to a fixpoint, cheapest rules first, and restarts from the
-first rule after any rule fires. It does not rerun a rule that is settled:
-one of :data:`FIXPOINT_RULES` that has run since another rule last fired.
+constraints. A rule that commits or drops a vertex tells the store only
+while the store tracks some member (``ConstraintStore._by_member``): an
+empty map makes every note a no-op, so skipping it is exact, and the
+pendant and simplicial cascades ahead of any exclusion pay nothing for
+the store. :func:`kernelize` runs an enabled subset of rules to a
+fixpoint, cheapest rules first, and restarts from the first rule after
+any rule fires. It does not rerun a rule that is settled: one of
+:data:`FIXPOINT_RULES` that has run since another rule last fired, and it
+stops once no vertex is alive.
 Pendant, isolated and fold return only at their own fixpoint through
 worklists, and packing through its progress loop. LP does too, by the
 Nemhauser-Trotter argument: it removes the integral part of the optimum
@@ -21,10 +26,12 @@ decides the kernel. A faster rewrite of a scan may therefore not change
 any decision: the same vertices in the same order, the same undo records
 and the same lifted solutions. ``test_kernelize_golden`` pins digests of
 the undo log, the kernel's alive set and its edge list to enforce that.
-The pendant rule and the expensive scans (LP, unconfined, simplicial,
-alternative) walk the adjacency lists in place instead of copying live
-neighbor lists. Every rule reads live degrees, so :func:`kernelize`
-refuses a graph with removals that skipped the degree update.
+The pendant and simplicial rules fire in place, lowering live degrees
+inline and pushing their undo records straight onto the log, and the
+expensive scans (LP, unconfined, simplicial, alternative) walk the
+adjacency lists in place instead of copying live neighbor lists. Every
+rule reads live degrees, so :func:`kernelize` refuses a graph with
+removals that skipped the degree update.
 
 Rule catalogue
 --------------
@@ -76,12 +83,12 @@ FIXPOINT_RULES = frozenset({"pendant", "isolated", "fold", "lp", "packing"})
 # undo records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncludeVertex:
     v: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fold:
     merged: int   # fresh vertex standing in for {left, center, right}
     left: int
@@ -89,7 +96,7 @@ class Fold:
     right: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwinGadget:
     gadget: int
     u: int
@@ -97,7 +104,7 @@ class TwinGadget:
     shared: tuple[int, ...]   # the common neighborhood at reduction time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alternative:
     a_side: tuple[int, ...]
     b_side: tuple[int, ...]
@@ -224,14 +231,21 @@ class ConstraintStore:
 
 
 def _include_vertex(g: Graph, stack: ReductionStack, v: int) -> None:
-    """Commit ``v`` to the solution and drop its closed neighborhood."""
+    """Commit ``v`` to the solution and drop its closed neighborhood.
+
+    The store is told only while it tracks a member: with ``_by_member``
+    empty, ``note_include`` and ``note_exclude`` change nothing.
+    """
     store = stack.constraints
+    tracked = store._by_member
     stack.push_include(v)
-    store.note_include(v)
+    if tracked:
+        store.note_include(v)
     nbrs = g.neighbors_live(v)
     g.remove_vertex(v)
     for u in nbrs:
-        store.note_exclude(u)
+        if tracked:
+            store.note_exclude(u)
         g.remove_vertex(u)
 
 
@@ -246,12 +260,16 @@ def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
     in place: it lowers the live degrees there and queues every vertex
     whose degree falls to 1. The lists are sorted, so the queue gets the
     same vertices in the same order as a scan of u's live list after the
-    removal would give it.
+    removal would give it. The undo records go straight onto the log and
+    the offset grows once at the end; the store is told only while it
+    tracks a member, as in :func:`_include_vertex`.
     """
     adjacency = g.adjacency
     alive = g.alive
     live_degree = g.live_degree
     store = stack.constraints
+    tracked = store._by_member
+    push = stack.entries.append
     queue = [v for v in g.alive_vertices() if live_degree[v] == 1]
     count = 0
     while queue:
@@ -261,9 +279,10 @@ def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
         for u in adjacency[v]:
             if alive[u]:
                 break
-        stack.push_include(v)
-        store.note_include(v)
-        store.note_exclude(u)
+        push(IncludeVertex(v))
+        if tracked:
+            store.note_include(v)
+            store.note_exclude(u)
         alive[v] = False
         alive[u] = False
         live_degree[u] -= 1   # v was its live neighbor
@@ -273,25 +292,54 @@ def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
                 if live_degree[x] == 1:
                     queue.append(x)
         count += 1
+    stack.offset += count
     return count
 
 
 def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
-    """Take simplicial vertices (closed neighborhood a clique)."""
+    """Take simplicial vertices (closed neighborhood a clique), to a fixpoint.
+
+    Each fire commits ``v`` and drops its live neighbors in place, as the
+    pendant rule does: the same records, store notes and live degrees as
+    :func:`_include_vertex`, with no live-list copy. Before that it walks
+    the neighbors' lists once to collect their live neighbors, in the
+    order a union of their live lists gives, and queues those still alive
+    afterwards.
+    """
+    adjacency = g.adjacency
+    alive = g.alive
+    live_degree = g.live_degree
+    store = stack.constraints
+    tracked = store._by_member
+    push = stack.entries.append
+    is_simplicial = g.is_simplicial
     queue = g.alive_vertices()
     count = 0
     while queue:
         v = queue.pop()
-        if not g.alive[v] or not g.is_simplicial(v):
+        if not alive[v] or not is_simplicial(v):
             continue
+        nbrs = [u for u in adjacency[v] if alive[u]]
         ring = set()
-        for u in g.neighbors_live(v):
-            ring.update(g.neighbors_live(u))
-        _include_vertex(g, stack, v)
+        for u in nbrs:
+            ring.update([x for x in adjacency[u] if alive[x]])
+        push(IncludeVertex(v))
+        if tracked:
+            store.note_include(v)
+        alive[v] = False
+        for u in nbrs:
+            if tracked:
+                store.note_exclude(u)
+            alive[u] = False
+            live_degree[u] -= 1   # v was its live neighbor
+            for x in adjacency[u]:
+                if alive[x]:
+                    live_degree[x] -= 1
         count += 1
         for x in ring:
-            if g.alive[x]:
+            if alive[x]:
                 queue.append(x)
+    stack.offset += count
     return count
 
 
@@ -939,7 +987,10 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
     After any rule fires the scan restarts from the first rule, but a rule
     in :data:`FIXPOINT_RULES` that has run since another rule last fired
     is skipped: rerun on the same graph it would return 0 and change
-    nothing, so the kernel is the one a full rescan gives.
+    nothing, so the kernel is the one a full rescan gives. The loop also
+    stops once no vertex is alive: every rule returns 0 on an empty graph
+    and changes neither the undo log nor the store, whose constraints have
+    all lost their last member by then.
     """
     enabled = frozenset(rules)
     unknown = enabled - ALL_RULES
@@ -965,7 +1016,7 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
     counts = {name: 0 for name, _, _ in active}
     settled: set[str] = set()   # fixpoint rules run since another rule fired
     applied = True
-    while applied:
+    while applied and any(g.alive):
         applied = False
         for name, rule, at_fixpoint in active:
             if name in settled:
@@ -978,11 +1029,12 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
                 break
             if at_fixpoint:
                 settled.add(name)
+    reduced_n = g.alive_count()
     return KernelResult(
         stack=stack,
         per_rule_counts=counts,
-        reduced_n=g.alive_count(),
-        reduced_m=g.live_edge_count(),
+        reduced_n=reduced_n,
+        reduced_m=g.live_edge_count() if reduced_n else 0,
     )
 
 

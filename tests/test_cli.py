@@ -421,6 +421,34 @@ def test_quality_time_command(tmp_path, capsys):
     assert lines[1].endswith("-")
 
 
+@pytest.mark.parametrize("quality", ["nan", "0", "-3", "7"])
+def test_quality_time_rejects_a_fraction_outside_0_1(tmp_path, capsys, quality):
+    a = write(tmp_path / "a.csv", "# instance=g algorithm=a seed=0\n1.000000,199\n")
+    assert main(["quality-time", a, "--quality", quality]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fastmis: quality must be within (0, 1]")
+
+
+def test_quality_time_at_quality_one(tmp_path, capsys):
+    a = write(tmp_path / "a.csv", "# instance=g algorithm=a seed=0\n1.000000,199\n2.000000,200\n")
+    b = write(tmp_path / "b.csv", "# instance=g algorithm=b seed=0\n4.000000,199\n")
+    assert main(["quality-time", a, b, "--quality", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].endswith("2.000000")
+    assert lines[1].endswith("-")
+
+
+def test_log_commands_name_the_file_and_line(tmp_path, capsys):
+    good = write(tmp_path / "good.csv", "# instance=g algorithm=a seed=0\n1.000000,10\n")
+    bad = write(tmp_path / "bad.csv", "# instance=g algorithm=b seed=0\n0.5\n")
+    assert main(["speedup", good, bad]) == 1
+    assert capsys.readouterr().err == (
+        f"fastmis: {bad}:2: expected 'elapsed,size', got '0.5'\n")
+    assert main(["quality-time", good, bad]) == 1
+    assert f"{bad}:2: " in capsys.readouterr().err
+
+
 def test_kernel_stats_command(tmp_path, capsys):
     graph = write(tmp_path / "p5.metis", P5_METIS)
     assert main(["kernel-stats", "--graph", graph]) == 0

@@ -116,6 +116,32 @@ def test_csv_round_trip(tmp_path):
             log.instance, log.algorithm, log.seed)
 
 
+HEADER = "# instance=g algorithm=a seed=0\n"
+
+LOG_ERRORS = [
+    ("bad-elapsed", HEADER + "abc,3\n", ":2: bad elapsed time 'abc'"),
+    ("missing-comma", "0.5\n", ":1: expected 'elapsed,size', got '0.5'"),
+    ("empty-size", HEADER + "0.5,\n", ":2: bad size ''"),
+    ("fractional-size", HEADER + "0.5,3.5\n", ":2: bad size '3.5'"),
+    ("bad-seed", "# instance=g algorithm=a seed=x\n1.0,3\n", ":1: bad seed 'x'"),
+    ("negative-elapsed", HEADER + "-1.0,3\n", ":2: elapsed must be nonnegative"),
+    ("nan-elapsed", HEADER + "nan,3\n", ":2: elapsed must be nonnegative"),
+    ("time-goes-back", HEADER + "1.0,3\n0.5,4\n", ":3: elapsed times must be nondecreasing"),
+    ("size-repeats", HEADER + "1.0,3\n2.0,3\n", ":3: sizes must be strictly increasing"),
+    ("counts-blank-and-comment-lines", "# c\n\n1.0,3\n  \nx,4\n", ":5: bad elapsed time 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in LOG_ERRORS],
+                         ids=[case[0] for case in LOG_ERRORS])
+def test_read_log_error_contract(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_log(path)
+    assert str(info.value) == f"{path}{message}"
+
+
 def test_csv_header_keeps_names_with_whitespace(tmp_path):
     log = ConvergenceLog(algorithm="online mis", seed=3, instance="my graph.metis")
     log.append(0.5, 7)

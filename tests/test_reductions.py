@@ -18,6 +18,7 @@ from fastmis.reductions import (
     ReductionStack,
     TwinGadget,
     _apply_four_cycles,
+    _include_vertex,
     _is_unconfined,
     kernelize,
     lift_solution,
@@ -43,13 +44,16 @@ from util import (
     empty_graph,
     er_graph,
     gnm_graph,
+    include_reference,
     is_independent,
+    isolated_reference,
     mesh_graph,
     path_graph,
     pendant_reference,
     petersen_graph,
     random_tree,
     star_graph,
+    store_state,
     unconfined_reference,
 )
 
@@ -94,30 +98,77 @@ def test_pendant_no_op_on_cycle():
     assert g.alive_count() == 4
 
 
-def test_pendant_matches_copying_reference():
-    # trees and hub graphs cascade; the partly folded G(n, m) carries dead
-    # ids and fresh fold ids in the adjacency lists the rule walks
-    rng = random.Random(71)
+def reference_graphs(seed):
+    """Trees and hub graphs cascade; small G(n, p) graphs hold cliques of
+    three and four; the partly folded G(n, m) carries dead ids and fresh
+    fold ids in the adjacency lists a rule walks."""
+    rng = random.Random(seed)
     graphs = [random_tree(rng, rng.randrange(2, 300)) for _ in range(8)]
-    graphs += [ba_graph(random.Random(seed), 600, attach=(1, 2, 4, 8))
-               for seed in (72, 73, 74)]
-    for seed in (75, 76):
-        g = gnm_graph(random.Random(seed), 300, 600)
+    graphs += [ba_graph(random.Random(seed + i), 600, attach=(1, 2, 4, 8))
+               for i in (1, 2, 3)]
+    graphs += [er_graph(rng, 60, 0.1) for _ in range(3)]
+    for i in (4, 5):
+        g = gnm_graph(random.Random(seed + i), 300, 600)
         kernelize(g, rules={"fold"})
         assert g.next_id > g.n and g.alive_count() < g.n
         graphs.append(g)
-    fired = 0
+    return graphs
+
+
+def add_neighbor_constraints(g, stack):
+    """A constraint over the live neighbors of every fifth alive vertex."""
+    for v in g.alive_vertices()[::5]:
+        stack.constraints.add_neighbor_constraint(g.neighbors_live(v))
+
+
+# how a stack is filled before a rule runs on it: empty, with the
+# constraints of the unconfined rule's exclusions, or with constraints
+# added straight to the store
+PREPARE = {
+    "unconfined": reduce_unconfined,
+    "constraints": add_neighbor_constraints,
+}
+
+
+def assert_rule_matches_reference(rule, reference, graphs, prepare=None):
+    """Run ``rule`` and ``reference`` on equal copies of each graph and
+    stack, and compare the counts, undo logs, offsets, flags, live
+    degrees and stores. Returns the fires, and the runs that changed a
+    store."""
+    fired = touched = 0
     for g in graphs:
         ref = g.copy()
         stack, ref_stack = ReductionStack(g), ReductionStack(ref)
-        count = reduce_pendant(g, stack)
-        assert count == pendant_reference(ref, ref_stack)
+        if prepare is not None:
+            prepare(g, stack)
+            prepare(ref, ref_stack)
+        before = store_state(stack.constraints)
+        count = rule(g, stack)
+        assert count == reference(ref, ref_stack)
         assert repr(stack.entries) == repr(ref_stack.entries)
+        assert stack.offset == ref_stack.offset
         assert g.alive == ref.alive
         assert g.live_degree == ref.live_degree
+        assert store_state(stack.constraints) == store_state(ref_stack.constraints)
         g.validate()
         fired += count
+        touched += store_state(stack.constraints) != before
+    return fired, touched
+
+
+def test_pendant_matches_copying_reference():
+    fired, _ = assert_rule_matches_reference(reduce_pendant, pendant_reference,
+                                             reference_graphs(71))
     assert fired > 500
+
+
+@pytest.mark.parametrize("prepare", sorted(PREPARE))
+def test_pendant_matches_copying_reference_with_constraints(prepare):
+    # the rule skips the store while it tracks no member; with members
+    # tracked, every note must still reach it
+    fired, touched = assert_rule_matches_reference(
+        reduce_pendant, pendant_reference, reference_graphs(81), PREPARE[prepare])
+    assert fired > 100 and touched >= 5
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +202,41 @@ def test_isolated_p3_center_not_simplicial():
     g = path_graph(3)
     assert not g.is_simplicial(1)
     assert g.is_simplicial(0)
+
+
+def test_isolated_matches_copying_reference():
+    fired, _ = assert_rule_matches_reference(reduce_isolated, isolated_reference,
+                                             reference_graphs(91))
+    assert fired > 1000
+
+
+@pytest.mark.parametrize("prepare", sorted(PREPARE))
+def test_isolated_matches_copying_reference_with_constraints(prepare):
+    fired, touched = assert_rule_matches_reference(
+        reduce_isolated, isolated_reference, reference_graphs(101), PREPARE[prepare])
+    assert fired > 1000 and touched >= 10
+
+
+def include_until_empty(include):
+    """A rule that commits random alive vertices through ``include`` until
+    none is left, drawing from an rng seeded by the graph."""
+    def rule(g, stack):
+        rng = random.Random(g.n)
+        count = 0
+        while g.alive_count():
+            include(g, stack, rng.choice(g.alive_vertices()))
+            count += 1
+        return count
+    return rule
+
+
+def test_include_vertex_matches_reference_with_constraints():
+    # LP, twin, packing and alternative commit through _include_vertex,
+    # which skips the store while it tracks no member
+    _, touched = assert_rule_matches_reference(
+        include_until_empty(_include_vertex), include_until_empty(include_reference),
+        reference_graphs(111), add_neighbor_constraints)
+    assert touched >= 10
 
 
 def test_isolated_respects_degree_bound():
@@ -610,6 +696,50 @@ def test_kernelize_runs_settled_lp_once(monkeypatch):
                                       for name in KERMIS_RULES}
     assert calls == [18]
     assert result.reduced_n == 10
+
+
+RULE_FUNCTIONS = {
+    "pendant": reduce_pendant,
+    "isolated": reduce_isolated,
+    "fold": reduce_fold,
+    "lp": reduce_lp,
+    "unconfined": reduce_unconfined,
+    "twin": reduce_twin,
+    "alternative": reduce_alternative,
+    "packing": reduce_packing_k0,
+}
+
+
+@pytest.mark.parametrize("rules", [ALL_RULES, KERMIS_RULES], ids=["all", "kermis"])
+def test_kernelize_stops_once_the_graph_is_empty(monkeypatch, rules):
+    # kernelize looks the rule functions up at call time, so wrappers see
+    # every call it makes
+    calls = []
+    for name, rule in RULE_FUNCTIONS.items():
+        def recorded(g, stack, name=name, rule=rule):
+            calls.append((name, g.alive_count()))
+            return rule(g, stack)
+        monkeypatch.setattr(reductions, rule.__name__, recorded)
+    rng = random.Random(121)
+    graphs = [random_tree(rng, rng.randrange(1, 200)) for _ in range(6)]
+    graphs += [ba_graph(random.Random(seed), n, attach=(1, 2, 4, 8))
+               for n in (40, 80, 150) for seed in (1, 2, 3, 4)]
+    tracked = 0
+    for g in graphs:
+        calls.clear()
+        result = kernelize(g, rules=rules)
+        assert result.reduced_n == 0
+        assert calls and all(alive for _, alive in calls), calls
+        # each rule finds nothing on the emptied graph and leaves the
+        # undo log and the store as they are
+        stack = result.stack
+        state = (repr(stack.entries), stack.offset, store_state(stack.constraints))
+        for name, rule in RULE_FUNCTIONS.items():
+            assert rule(g, stack) == 0, name
+            assert (repr(stack.entries), stack.offset,
+                    store_state(stack.constraints)) == state, name
+        tracked += bool(stack.constraints.constraints)
+    assert tracked >= 2   # unconfined fired, so the packing check has constraints
 
 
 def test_kernelize_rejects_unknown_rule():

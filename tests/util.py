@@ -250,6 +250,50 @@ def pendant_reference(g: Graph, stack) -> int:
     return count
 
 
+def include_reference(g: Graph, stack, v: int) -> None:
+    """Commit ``v`` and drop its live neighbors method by method: the
+    stack's push, a store note and :meth:`Graph.remove_vertex` for each
+    vertex, whether or not the store tracks it."""
+    store = stack.constraints
+    stack.push_include(v)
+    store.note_include(v)
+    nbrs = g.neighbors_live(v)
+    g.remove_vertex(v)
+    for u in nbrs:
+        store.note_exclude(u)
+        g.remove_vertex(u)
+
+
+def isolated_reference(g: Graph, stack) -> int:
+    """The simplicial rule with live-list copies: per fire it unions the
+    live lists of the live neighbors of ``v``, commits ``v`` through
+    :func:`include_reference`, and queues the united vertices still
+    alive."""
+    queue = g.alive_vertices()
+    count = 0
+    while queue:
+        v = queue.pop()
+        if not g.alive[v] or not g.is_simplicial(v):
+            continue
+        ring = set()
+        for u in g.neighbors_live(v):
+            ring.update(g.neighbors_live(u))
+        include_reference(g, stack, v)
+        count += 1
+        for x in ring:
+            if g.alive[x]:
+                queue.append(x)
+    return count
+
+
+def store_state(store):
+    """Every constraint as (members, bound, retired), and the member map
+    with each constraint named by its position in the list."""
+    position = {id(c): i for i, c in enumerate(store.constraints)}
+    return ([(sorted(c.members), c.bound, c.retired) for c in store.constraints],
+            {v: [position[id(c)] for c in cs] for v, cs in store._by_member.items()})
+
+
 def greedy_reference(g: Graph, rng: random.Random, online: bool = False) -> Solution:
     """The min-degree greedy pass through the solution's own methods:
     each pick that is still alive, outside and free goes through
