@@ -148,6 +148,8 @@ def read_edge_list(path, n: int | None = None) -> Graph:
                 raise ParseError(f"{path}:{lineno}: non-integer token") from exc
             if u < 0 or v < 0:
                 raise ParseError(f"{path}:{lineno}: negative vertex id")
+            if n is not None and max(u, v) >= n >= 0:   # load rejects n < 0
+                raise ParseError(f"{path}:{lineno}: vertex id {max(u, v)} is outside 0..{n - 1}")
             edges.append((u, v))
             top = max(top, u, v)
     if n is None:

@@ -5,13 +5,12 @@ or above ``n`` are created later by reductions (folding, gadget insertion)
 and are appended so input ids stay stable for solution reporting. Removing
 a vertex flips an ``alive`` flag instead of rewriting adjacency lists.
 :meth:`Graph.neighbors_live` filters dead entries into a fresh list; the
-hot scans (the local search and its online commit check,
-:meth:`Graph.is_simplicial`, and the pendant, simplicial, LP,
-unconfined and alternative rules) walk ``adjacency`` in place instead
-and check ``alive`` inline. Cutting and the rest of the rules ask
-``neighbors_live``. Adjacency lists are kept sorted so edge tests can
-bisect them, twin signatures compare equal, and every scan visits
-neighbors in a fixed order.
+hot scans (the local search, :meth:`Graph.is_simplicial`, and the
+pendant, simplicial, LP, unconfined and alternative rules) walk
+``adjacency`` in place instead and check ``alive`` inline. Cutting and
+the rest of the rules ask ``neighbors_live``. Adjacency lists are kept
+sorted so edge tests can bisect them, twin signatures compare equal, and
+every scan visits neighbors in a fixed order.
 
 :meth:`Graph.copy` shares the adjacency lists with its source until one
 of the two first writes a list: :meth:`Graph.add_edge`,
@@ -32,11 +31,8 @@ class GraphFormatError(ValueError):
 class Graph:
     """Undirected graph over integer ids with alive flags and live degrees.
 
-    ``live_degree[v]`` counts the alive neighbors of an alive ``v``, plus
-    the neighbors removed with ``update_degrees=False``, which stay
-    counted; :meth:`validate` checks both parts. Reductions and cutting
-    read live degrees, so they need a graph without such removals
-    (:attr:`degrees_exact`).
+    ``live_degree[v]`` counts the alive neighbors of an alive ``v``;
+    :meth:`remove_vertex` keeps it exact, and :meth:`validate` checks it.
 
     ``adjacency`` is one outer list for the graph's lifetime: it is never
     rebound, so a caller may hoist it. Its inner lists may be shared with
@@ -46,8 +42,7 @@ class Graph:
     independent copies (see :meth:`copy`).
     """
 
-    __slots__ = ("n", "adjacency", "alive", "live_degree", "next_id", "_counted_dead",
-                 "_shared")
+    __slots__ = ("n", "adjacency", "alive", "live_degree", "next_id", "_shared")
 
     def __init__(self, adjacency: list[list[int]]) -> None:
         """A fully alive graph that takes ``adjacency`` as it is, without a
@@ -57,7 +52,6 @@ class Graph:
         self.adjacency = adjacency
         self.alive = [True] * self.n
         self.live_degree = list(map(len, adjacency))
-        self._counted_dead: list[int] = []
         self._shared = False
 
     # ------------------------------------------------------------------
@@ -75,12 +69,6 @@ class Graph:
         alive = self.alive
         return sum(self.live_degree[v] for v in range(self.next_id) if alive[v]) // 2
 
-    @property
-    def degrees_exact(self) -> bool:
-        """True when no removal skipped the degree update, so every live
-        degree counts exactly the alive neighbors."""
-        return not self._counted_dead
-
     def neighbors_live(self, v: int) -> list[int]:
         """Alive neighbors of an alive vertex, sorted ascending."""
         if not self.alive[v]:
@@ -96,16 +84,7 @@ class Graph:
         return i < len(a) and a[i] == v
 
     def is_simplicial(self, v: int) -> bool:
-        """True if the closed live neighborhood of ``v`` induces a clique.
-
-        The degree of ``v`` is read, so the graph needs exact live degrees
-        (:attr:`degrees_exact`); ValueError otherwise. The online search
-        has its own degree-<=2 check, which counts live neighbors itself
-        (``local_search.commit_check``).
-        """
-        if self._counted_dead:
-            raise ValueError("is_simplicial needs exact live degrees; "
-                             "the graph has removals made with update_degrees=False")
+        """True if the closed live neighborhood of ``v`` induces a clique."""
         alive = self.alive
         adj_v = self.adjacency[v]
         deg = self.live_degree[v]
@@ -159,21 +138,11 @@ class Graph:
     # ------------------------------------------------------------------
     # mutation
 
-    def remove_vertex(self, v: int, update_degrees: bool = True) -> None:
-        """Flip ``v`` dead and lower the live degree of its live neighbors.
-
-        With ``update_degrees=False`` only the flag flips, and the
-        neighbors' live degrees keep counting ``v``. That saves the scan of
-        the adjacency list for a caller that reads no live degree from
-        then on, such as the online search, whose commit check counts live
-        neighbors (``local_search.commit_check``).
-        """
+    def remove_vertex(self, v: int) -> None:
+        """Flip ``v`` dead and lower the live degree of its live neighbors."""
         if not self.alive[v]:
             raise ValueError(f"vertex {v} is already removed")
         self.alive[v] = False
-        if not update_degrees:
-            self._counted_dead.append(v)
-            return
         alive = self.alive
         live_degree = self.live_degree
         for u in self.adjacency[v]:
@@ -256,7 +225,6 @@ class Graph:
         g.alive = list(self.alive)
         g.live_degree = list(self.live_degree)
         g.next_id = self.next_id
-        g._counted_dead = list(self._counted_dead)
         g._shared = self._shared = True
         return g
 
@@ -270,15 +238,8 @@ class Graph:
             self._shared = False
 
     def validate(self) -> None:
-        """Full-rescan consistency check; raises AssertionError on damage.
-
-        A live degree must count the alive neighbors plus the neighbors
-        removed without a degree update.
-        """
+        """Full-rescan consistency check; raises AssertionError on damage."""
         assert len(self.adjacency) == len(self.alive) == len(self.live_degree) == self.next_id
-        counted_dead = set(self._counted_dead)
-        assert len(counted_dead) == len(self._counted_dead), "vertex removed twice"
-        assert not any(self.alive[v] for v in counted_dead), "counted dead vertex is alive"
         total = 0
         for v in range(self.next_id):
             adj = self.adjacency[v]
@@ -292,9 +253,8 @@ class Graph:
                 assert i < len(a) and a[i] == v, f"asymmetric edge {v}-{u}"
             if self.alive[v]:
                 live = sum(1 for u in adj if self.alive[u])
-                want = live + sum(1 for u in adj if u in counted_dead)
-                assert self.live_degree[v] == want, (
-                    f"live_degree[{v}] = {self.live_degree[v]}, expected {want}"
+                assert self.live_degree[v] == live, (
+                    f"live_degree[{v}] = {self.live_degree[v]}, expected {live}"
                 )
                 total += live
         assert total % 2 == 0, "odd live degree sum"

@@ -14,21 +14,12 @@ bound is below 2 without scanning its neighborhood. The skip happens
 exactly where :func:`find_one_two_swap` would return None before any rng
 draw, so the screen leaves every trajectory and rng state unchanged.
 
-The search walks ``graph.adjacency`` in place, dead entries included,
-and checks the ``alive`` flag only where a dead neighbor could change
-the outcome (see :class:`Solution`). Adjacency lists stay sorted, so
-every rng draw, set insertion and queue push happens in vertex-id order.
-
-In online mode every insertion first runs the cheap degree-<=2 clique
-check (:func:`commit_check`): vertices that pass are committed
-permanently and their neighborhoods leave the residual graph for good.
-The check counts live neighbors instead of reading ``live_degree``, so
-commits remove vertices without the degree update
-(``update_degrees=False``): after the first commit the graph's live
-degrees still count the removed vertices.
-No pipeline uses online mode: :func:`~fastmis.pipelines.online_mis`
-runs the pendant and simplicial rules to a fixpoint first, where no
-vertex would pass the check, and then searches in plain mode.
+The search deletes no vertex: it works on the graph that cutting and
+reduction left. It walks ``graph.adjacency`` in place, dead entries
+included, and checks the ``alive`` flag only where a dead neighbor could
+change the outcome (see :class:`Solution`). Adjacency lists stay sorted,
+so every rng draw, set insertion and queue push happens in vertex-id
+order.
 
 :func:`run_iterated` returns the best set it has seen without copying
 it at each improvement: the solution records the first move of each
@@ -102,9 +93,9 @@ class _IndexedSet:
     """Dense int set: ``items`` in insertion order with swap-removal, and
     ``pos[v]``, the index of ``v`` in ``items`` or -1.
 
-    A discard moves the last item into the freed slot. The hot moves
-    (:meth:`Solution.insert`, :meth:`Solution.remove`) add and discard
-    inline on both lists in the same way.
+    The moves (:meth:`Solution.insert`, :meth:`Solution.remove`) add and
+    discard inline on both lists; a discard moves the last item into the
+    freed slot.
     """
 
     __slots__ = ("items", "pos")
@@ -123,32 +114,19 @@ class _IndexedSet:
     def __contains__(self, v: int) -> bool:
         return self.pos[v] >= 0
 
-    def discard(self, v: int) -> None:
-        i = self.pos[v]
-        if i < 0:
-            return
-        last = self.items[-1]
-        self.items[i] = last
-        self.pos[last] = i
-        self.items.pop()
-        self.pos[v] = -1
-
 
 class Solution:
     """Independent set with tightness bookkeeping over a live graph.
 
-    Invariant: a dead vertex is in the solution only if it was
-    committed, and a committed vertex has no live neighbor. Dead
-    vertices cannot be inserted, a commit deletes the vertex's whole
-    neighborhood, and only commits delete vertices during search. Hence
-    the neighbor loops skip dead entries only where one could change the
-    outcome: the tightness, free and queue updates of :meth:`remove`,
-    the deletions of :meth:`_commit` and the 1-tight list of
-    :func:`find_one_two_swap`. Elsewhere a dead entry is harmless:
-    :meth:`insert` may raise a dead vertex's tightness, which nothing
-    reads, and a solution member next to a live vertex is itself alive.
-    Only :func:`greedy_initial` reads live degrees, to bucket the
-    vertices before any commit.
+    Invariant: every solution member is alive. Dead vertices cannot be
+    inserted, and nothing deletes a vertex while a solution is in use.
+    Hence the neighbor loops skip dead entries only where one could
+    change the outcome: the tightness, free and queue updates of
+    :meth:`remove` and the 1-tight list of :func:`find_one_two_swap`.
+    Elsewhere a dead entry is harmless: :meth:`insert` may raise a dead
+    vertex's tightness, which nothing reads, and a dead entry is never a
+    solution member. Only :func:`greedy_initial` reads live degrees, to
+    bucket the vertices.
 
     :meth:`insert` and :meth:`remove` are the one implementation of each
     move. They update the free and non-solution sets and push the
@@ -160,9 +138,8 @@ class Solution:
     adds 1 at the one solution neighbor of each vertex that turned
     1-tight, and :func:`greedy_initial` counts as :meth:`insert` does.
     It is never lowered: only a removal raises the true count after the
-    insertion, and a tightness rising to 2, a commit or a deletion only
-    lowers it. Outside the solution the entry is stale, and no outcome
-    depends on it.
+    insertion, and a tightness rising to 2 only lowers it. Outside the
+    solution the entry is stale, and no outcome depends on it.
 
     Best-set tracking keeps, for every vertex moved since the last
     :meth:`mark_best`, its first move since then (+1 in, -1 out): a
@@ -171,12 +148,15 @@ class Solution:
     stays ``None``, recording nothing, until the first mark.
     """
 
-    def __init__(self, graph: Graph, rng: random.Random, online: bool = False) -> None:
-        self._setup(graph, rng, online)
+    # the search commits nothing; perfbench/tracer.py still sums this
+    committed = ()
+
+    def __init__(self, graph: Graph, rng: random.Random) -> None:
+        self._setup(graph, rng)
         self.free = _IndexedSet(graph.next_id, self.non_solution.items)
 
     @classmethod
-    def _for_greedy(cls, graph: Graph, rng: random.Random, online: bool) -> Solution:
+    def _for_greedy(cls, graph: Graph, rng: random.Random) -> Solution:
         """An empty solution whose free set starts empty too.
 
         :func:`greedy_initial` neither reads nor writes the free set; its
@@ -184,21 +164,19 @@ class Solution:
         exact.
         """
         sol = cls.__new__(cls)
-        sol._setup(graph, rng, online)
+        sol._setup(graph, rng)
         sol.free = _IndexedSet(graph.next_id)
         return sol
 
-    def _setup(self, graph: Graph, rng: random.Random, online: bool) -> None:
+    def _setup(self, graph: Graph, rng: random.Random) -> None:
         capacity = graph.next_id
         self.graph = graph
         self.rng = rng
-        self.online = online
         self.in_solution = [False] * capacity
         self.tightness = [0] * capacity
         self.ones_bound = [0] * capacity
         self.size = 0
         self.non_solution = _IndexedSet(capacity, graph.alive_vertices())
-        self.committed = [False] * capacity
         self.last_out = [0] * capacity
         self.clock = 0
         self._queue: deque[int] = deque()
@@ -211,12 +189,10 @@ class Solution:
         return {v for v in range(len(self.in_solution)) if self.in_solution[v]}
 
     def insert(self, v: int) -> None:
-        """Add a free vertex; in online mode this may commit it instead.
-
-        Otherwise ``v`` leaves the free and non-solution sets, each live
-        neighbor whose tightness rises to 1 leaves the free set and
-        counts towards ``ones_bound[v]``, and ``v`` joins the candidate
-        queue unless it is queued already.
+        """Add a free vertex: ``v`` leaves the free and non-solution
+        sets, each live neighbor whose tightness rises to 1 leaves the
+        free set and counts towards ``ones_bound[v]``, and ``v`` joins the
+        candidate queue unless it is queued already.
         """
         in_solution = self.in_solution
         alive = self.graph.alive
@@ -225,9 +201,6 @@ class Solution:
         tightness = self.tightness
         if tightness[v] != 0:
             raise ValueError(f"vertex {v} has tightness {tightness[v]}")
-        if self.online and commit_check(self.graph, v):
-            self._commit(v)
-            return
         in_solution[v] = True
         self.size += 1
         if self._first_move is not None:
@@ -279,8 +252,6 @@ class Solution:
         in_solution = self.in_solution
         if not in_solution[v]:
             raise ValueError(f"vertex {v} is not in the solution")
-        if self.committed[v]:
-            raise ValueError(f"vertex {v} is committed and cannot leave")
         in_solution[v] = False
         self.size -= 1
         if self._first_move is not None:
@@ -344,33 +315,6 @@ class Solution:
 
     # ------------------------------------------------------------------
 
-    def _commit(self, v: int) -> None:
-        """Permanently take ``v`` and delete its closed neighborhood.
-
-        The neighbors leave the graph immediately, so their tightness
-        never needs updating.
-        """
-        g = self.graph
-        self.in_solution[v] = True
-        self.size += 1
-        if self._first_move is not None:
-            self._first_move.setdefault(v, 1)
-        self.committed[v] = True
-        free = self.free
-        non_solution = self.non_solution
-        free.discard(v)
-        non_solution.discard(v)
-        alive = g.alive
-        for u in g.adjacency[v]:
-            if alive[u]:
-                # u leaves the graph while outside the solution
-                g.remove_vertex(u, update_degrees=False)
-                free.discard(u)
-                non_solution.discard(u)
-        g.remove_vertex(v, update_degrees=False)
-
-    # ------------------------------------------------------------------
-
     def mark_best(self) -> None:
         """Take the current solution as the best one: start a fresh map."""
         self._first_move = {}
@@ -388,41 +332,20 @@ class Solution:
         return best
 
 
-def commit_check(g: Graph, v: int) -> bool:
-    """True if ``v`` has at most two live neighbors and they are adjacent.
-
-    This is the online search's degree-<=2 clique check. It counts live
-    neighbors from the adjacency list, stopping at the third, so it stays
-    exact after commits, which remove vertices without the degree update.
-    """
-    alive = g.alive
-    first = second = -1
-    for u in g.adjacency[v]:
-        if alive[u]:
-            if first < 0:
-                first = u
-            elif second < 0:
-                second = u
-            else:
-                return False
-    return second < 0 or g.has_live_edge(first, second)
-
-
-def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Solution:
+def greedy_initial(g: Graph, rng: random.Random) -> Solution:
     """Maximal solution from the min-degree greedy pass, ties random.
 
     Vertices are drawn from degree buckets keyed by their degree at pass
-    start; picks that stopped being free are discarded lazily. In online
-    mode every pick runs through the commit check.
+    start; picks that stopped being free are discarded lazily.
 
     Each pick is ``rng.randrange(len(bucket))`` drawn inline as the
     standard library draws it (:meth:`Solution.maximalize`). The pass
-    does the work of :meth:`Solution.insert` inline. Nothing
-    leaves the solution during it, so the free set stays empty and is
-    exact at the end, every base insert is queued once, and a commit,
-    taken only at tightness 0, never deletes a solution member.
+    does the work of :meth:`Solution.insert` inline. Nothing leaves the
+    solution and no vertex dies during it, so every pick is alive, the
+    free set stays empty and is exact at the end, and every insert is
+    queued once.
     """
-    sol = Solution._for_greedy(g, rng, online)
+    sol = Solution._for_greedy(g, rng)
     items = sol.non_solution.items   # every alive vertex, before the pass
     pos = sol.non_solution.pos
     if not items:
@@ -430,11 +353,9 @@ def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Soluti
     alive = g.alive
     adjacency = g.adjacency
     live_degree = g.live_degree
-    remove_vertex = g.remove_vertex
     in_solution = sol.in_solution
     tightness = sol.tightness
     ones_bound = sol.ones_bound
-    committed = sol.committed
     queued = sol._queued
     enqueue = sol._queue.append
     getrandbits = rng.getrandbits
@@ -453,41 +374,26 @@ def greedy_initial(g: Graph, rng: random.Random, online: bool = False) -> Soluti
             v = bucket[i]
             bucket[i] = bucket[-1]
             bucket.pop()
-            if tightness[v] or not alive[v]:
+            if tightness[v]:
                 continue
             in_solution[v] = True
             size += 1
-            # non_solution.discard(v), inline
+            # discard v from non_solution, inline
             i = pos[v]
             last = items[-1]
             items[i] = last
             pos[last] = i
             items.pop()
             pos[v] = -1
-            if online and commit_check(g, v):
-                committed[v] = True
-                for u in adjacency[v]:
-                    if alive[u]:
-                        # u is alive and outside the solution, so it is
-                        # in non_solution: discard it inline as v above
-                        remove_vertex(u, False)
-                        i = pos[u]
-                        last = items[-1]
-                        items[i] = last
-                        pos[last] = i
-                        items.pop()
-                        pos[u] = -1
-                remove_vertex(v, False)
-            else:
-                ones = 0
-                for u in adjacency[v]:
-                    t = tightness[u] + 1
-                    tightness[u] = t
-                    if t == 1 and alive[u]:
-                        ones += 1
-                ones_bound[v] = ones
-                queued[v] = True
-                enqueue(v)
+            ones = 0
+            for u in adjacency[v]:
+                t = tightness[u] + 1
+                tightness[u] = t
+                if t == 1 and alive[u]:
+                    ones += 1
+            ones_bound[v] = ones
+            queued[v] = True
+            enqueue(v)
     sol.size = size
     return sol
 
@@ -539,12 +445,11 @@ def local_search(sol: Solution, pair_cap: int | None = None) -> int:
     popleft = queue.popleft
     queued = sol._queued
     in_solution = sol.in_solution
-    alive = sol.graph.alive
     ones_bound = sol.ones_bound
     while queue:
         v = popleft()
         queued[v] = False
-        if ones_bound[v] < 2 or not (in_solution[v] and alive[v]):
+        if ones_bound[v] < 2 or not in_solution[v]:
             continue
         found = find_one_two_swap(sol, v, pair_cap)
         if found is None:

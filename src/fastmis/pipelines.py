@@ -8,8 +8,8 @@ the search of the residual graph and the lift (:func:`_search_residual`).
 Where ``onlinemis`` departs from the paper: the paper commits a vertex
 whose degree-<=2 closed neighborhood is a clique whenever the greedy
 pass or the search meets one, while :func:`online_mis` runs the pendant
-and simplicial rules to a fixpoint before a plain search starts, and
-its simplicial rule has no degree bound.
+and simplicial rules to a fixpoint before the search starts, and its
+simplicial rule has no degree bound.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def online_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random
     """Cut the top snapshot-degree slice, reduce to a fixpoint, search.
 
     After the cut, the pendant and simplicial rules run to a fixpoint
-    (:data:`~fastmis.reductions.ONLINE_RULES`), and the plain search
-    works on what is left; the module docstring says where this departs
+    (:data:`~fastmis.reductions.ONLINE_RULES`), and the search works on
+    what is left; the module docstring says where this departs
     from the paper. Logged sizes include the vertices the rules took,
     and an empty residual graph skips the search.
     """

@@ -996,9 +996,6 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
     unknown = enabled - ALL_RULES
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
-    if not g.degrees_exact:
-        raise ValueError("kernelize needs exact live degrees; the graph has "
-                         "removals made with update_degrees=False")
     # looked up at call time, so a rebound module global takes effect
     by_name = {
         "pendant": reduce_pendant,
@@ -1041,7 +1038,7 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
 def lift_solution(stack: ReductionStack, kernel_solution) -> set[int]:
     """Map a kernel independent set back to one of the input graph.
 
-    Replays the undo log newest-first: committed vertices rejoin, folded
+    Replays the undo log newest-first: included vertices rejoin, folded
     and gadget vertices resolve to the branch their membership selects.
     The output never contains synthetic vertex ids.
     """

@@ -205,7 +205,7 @@ def test_read_metis_formatting_variants_parse_to_load(tmp_path):
         path = tmp_path / f"v{i}.metis"
         path.write_bytes(messy_metis(want, rng))
         got = read_metis(path)
-        assert got.n == n and got.next_id == n and all(got.alive) and got.degrees_exact
+        assert got.n == n and got.next_id == n and all(got.alive)
         assert got.adjacency == want.adjacency
         assert got.live_degree == want.live_degree
 
@@ -240,6 +240,10 @@ def test_read_edge_list_empty_needs_count(tmp_path):
 def test_read_edge_list_rejects_garbage(tmp_path):
     with pytest.raises(ParseError):
         read_edge_list(write(tmp_path / "g.txt", "0 one\n"))
+    # with an explicit vertex count, an id past it names the file and line
+    path = write(tmp_path / "h.txt", "0 1\n# comment\n0 5\n")
+    with pytest.raises(ParseError, match=r"h\.txt:3: vertex id 5 is outside 0\.\.2"):
+        read_edge_list(path, 3)
 
 
 # ----------------------------------------------------------------------

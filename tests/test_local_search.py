@@ -65,9 +65,9 @@ def test_greedy_empty_graph_takes_all():
 def test_greedy_always_maximal_and_consistent():
     # the pass starts from an empty free set and must leave it exact
     rng = random.Random(10)
-    for i in range(60):
+    for _ in range(60):
         g = er_graph(rng, rng.randrange(1, 16), rng.uniform(0.05, 0.7))
-        sol = greedy_initial(g, random.Random(rng.randrange(10**6)), online=i % 2 == 1)
+        sol = greedy_initial(g, random.Random(rng.randrange(10**6)))
         check_solution_state(sol)
         assert len(sol.free) == 0
         assert is_independent(g, sol.vertices())
@@ -80,7 +80,6 @@ def full_state(sol):
     return {
         "in_solution": sol.in_solution,
         "tightness": sol.tightness,
-        "committed": sol.committed,
         "size": sol.size,
         "non_solution.items": sol.non_solution.items,
         "non_solution.pos": sol.non_solution.pos,
@@ -90,16 +89,13 @@ def full_state(sol):
         "queued": sol._queued,
         "alive": g.alive,
         "live_degree": g.live_degree,
-        "counted_dead": g._counted_dead,
         "rng": sol.rng.getstate(),
     }
 
 
-@pytest.mark.parametrize("online", [False, True])
-def test_greedy_matches_method_by_method_reference(online):
+def test_greedy_matches_method_by_method_reference():
     # the inlined pass must leave the state the method-call pass leaves
-    rng = random.Random(40 + online)
-    commits = 0
+    rng = random.Random(40)
     for trial in range(60):
         n = rng.randrange(1, 60)
         if trial % 2:
@@ -109,11 +105,9 @@ def test_greedy_matches_method_by_method_reference(online):
         for v in rng.sample(range(g.n), rng.randrange(g.n // 4 + 1)):
             g.remove_vertex(v)   # as a cut before the pass does
         seed = rng.randrange(10**9)
-        got = greedy_initial(g.copy(), random.Random(seed), online=online)
-        want = greedy_reference(g.copy(), random.Random(seed), online=online)
+        got = greedy_initial(g.copy(), random.Random(seed))
+        want = greedy_reference(g.copy(), random.Random(seed))
         assert full_state(got) == full_state(want), (trial, seed)
-        commits += sum(got.committed)
-    assert (commits > 0) == online
 
 
 # ----------------------------------------------------------------------
@@ -157,33 +151,6 @@ def test_insert_preconditions():
         sol.insert(1)  # tight
     with pytest.raises(ValueError):
         sol.remove(1)  # not a member
-
-
-def test_remove_committed_is_rejected():
-    g = path_graph(2)
-    sol = Solution(g, random.Random(0), online=True)
-    sol.insert(0)  # degree-1: committed, neighborhood deleted
-    assert sol.committed[0]
-    assert not g.alive[0] and not g.alive[1]
-    with pytest.raises(ValueError):
-        sol.remove(0)
-
-
-def test_online_commit_degree_two_triangle():
-    g = complete_graph(3)
-    sol = Solution(g, random.Random(0), online=True)
-    sol.insert(0)
-    assert sol.committed[0]
-    assert g.alive_count() == 0
-    assert sol.size == 1
-
-
-def test_online_no_commit_for_open_pair():
-    g = path_graph(3)
-    sol = Solution(g, random.Random(0), online=True)
-    sol.insert(1)  # neighbors 0 and 2 are not adjacent
-    assert not sol.committed[1]
-    assert g.alive_count() == 3
 
 
 # ----------------------------------------------------------------------
@@ -318,12 +285,10 @@ def test_perturb_keeps_invariants():
         assert is_independent(g, sol.vertices())
 
 
-def test_search_keeps_invariants_with_dead_vertices_and_commits():
+def test_search_keeps_invariants_with_dead_vertices():
     # vertices deleted before the solution is built, as cutting and
-    # kernelization leave them, and online commits that delete more in
-    # the middle of the search: dead entries stay in every adjacency list
+    # kernelization leave them: dead entries stay in every adjacency list
     rng = random.Random(31)
-    commits_during_search = 0
     for trial in range(80):
         g = er_graph(rng, rng.randrange(2, 16), rng.uniform(0.1, 0.6))
         original = g.copy()
@@ -331,18 +296,14 @@ def test_search_keeps_invariants_with_dead_vertices_and_commits():
             for v in g.alive_vertices():
                 if rng.random() < 0.25:
                     g.remove_vertex(v)
-        online = trial % 2 == 1
-        sol = greedy_initial(g, random.Random(rng.randrange(10**6)), online=online)
+        sol = greedy_initial(g, random.Random(rng.randrange(10**6)))
         check_solution_state(sol)
         for _ in range(20):
-            committed = sum(sol.committed)
             perturb(sol, PerturbationParams(), rng)
             local_search(sol, pair_cap=None)
-            commits_during_search += sum(sol.committed) - committed
             check_solution_state(sol)
             assert len(sol.free) == 0
             assert is_independent(original, sol.vertices())
-    assert commits_during_search > 0
 
 
 def search_state(sol):
@@ -357,12 +318,11 @@ def search_state(sol):
 
 
 @pytest.mark.parametrize("pair_cap", [None, 1])
-@pytest.mark.parametrize("online", [False, True])
-def test_search_matches_method_by_method_reference(online, pair_cap):
+def test_search_matches_method_by_method_reference(pair_cap):
     # the inlined draws, set updates and queue pushes must leave, after
     # every iteration, the state the method-call search leaves
-    rng = random.Random(50 + 2 * online + (pair_cap is None))
-    commits = swaps = 0
+    rng = random.Random(50 + (pair_cap is None))
+    swaps = 0
     for trial in range(36):
         kind = trial % 3
         if kind == 0:
@@ -375,10 +335,9 @@ def test_search_matches_method_by_method_reference(online, pair_cap):
             for v in rng.sample(range(g.n), rng.randrange(g.n // 4 + 1)):
                 g.remove_vertex(v)   # as a cut or a kernel leaves the graph
         params = PerturbationParams(candidate_pool=1 + trial % 4, pair_cap=pair_cap)
-        sol = greedy_initial(g, random.Random(rng.randrange(10**9)), online=online)
+        sol = greedy_initial(g, random.Random(rng.randrange(10**9)))
         ref = ReferenceSolution.adopt(sol)
         assert search_state(sol) == search_state(ref)
-        committed = sum(sol.committed)
         best = sol.size
         sol.mark_best()
         ref.mark_best()
@@ -396,23 +355,20 @@ def test_search_matches_method_by_method_reference(online, pair_cap):
                 ref.mark_best()
             assert search_state(sol) == search_state(ref), (trial, iteration)
         assert sol.materialize_best() == ref.materialize_best()
-        commits += sum(sol.committed) - committed
     assert swaps > 0
-    assert (commits > 0) == online
 
 
 def test_draws_wait_for_a_non_empty_range():
     # an inline draw over zero items would spin: perturb with nothing
     # outside the solution and maximalize with nothing free return
     # without touching the rng
-    for online in (False, True):
-        sol = greedy_initial(empty_graph(4), random.Random(3), online=online)
-        assert len(sol.non_solution) == 0
-        state = sol.rng.getstate()
-        perturb(sol, PerturbationParams(), sol.rng)
-        assert sol.maximalize() == 0
-        assert sol.rng.getstate() == state
-        assert sol.size == 4
+    sol = greedy_initial(empty_graph(4), random.Random(3))
+    assert len(sol.non_solution) == 0
+    state = sol.rng.getstate()
+    perturb(sol, PerturbationParams(), sol.rng)
+    assert sol.maximalize() == 0
+    assert sol.rng.getstate() == state
+    assert sol.size == 4
     sol = greedy_initial(gnm_graph(random.Random(8), 30, 60), random.Random(8))
     assert len(sol.free) == 0 and len(sol.non_solution) > 0
     state = sol.rng.getstate()
@@ -513,22 +469,22 @@ def test_run_best_recovered_after_decline():
         assert is_independent(g, best)
 
 
-def run_watching_marks(g, seed, iterations, online=False):
+def run_watching_marks(g, seed, iterations):
     """run_iterated with mark_best wrapped: returns the result, the log,
-    and the solution and its commit count at the last mark."""
+    and the solution at the last mark."""
     rng = random.Random(seed)
-    sol = greedy_initial(g, rng, online=online)
-    marks = [(sol.vertices(), sum(sol.committed))]
+    sol = greedy_initial(g, rng)
+    marks = [sol.vertices()]
     real_mark_best = sol.mark_best
 
     def mark_best():
         real_mark_best()
-        marks.append((sol.vertices(), sum(sol.committed)))
+        marks.append(sol.vertices())
 
     sol.mark_best = mark_best
     log = ConvergenceLog()
     best = run_iterated(g, sol, Budget(iterations=iterations), log, rng)
-    return sol, best, log, marks[-1]
+    return best, log, marks[-1]
 
 
 def test_best_journal_stays_bounded():
@@ -536,16 +492,8 @@ def test_best_journal_stays_bounded():
     # follow the last improvement; the result is still the set it marked
     g = mesh_graph(random.Random(100), 10)
     original = g.copy()
-    _, best, log, (marked, _) = run_watching_marks(g, 5, 2000)
+    best, log, marked = run_watching_marks(g, 5, 2000)
     assert log.points[-1][0] < 1000
-    assert best == marked
-    assert len(best) == log.points[-1][1]
-    assert is_independent(original, best)
-    # online: commits after the last improvement are undone too
-    g = mesh_graph(random.Random(0), 10)
-    original = g.copy()
-    sol, best, log, (marked, commits) = run_watching_marks(g, 0, 500, online=True)
-    assert sum(sol.committed) > commits
     assert best == marked
     assert len(best) == log.points[-1][1]
     assert is_independent(original, best)
@@ -564,13 +512,3 @@ def test_best_set_undoes_first_moves_since_mark():
     sol.remove(1)
     assert sol.vertices() == {2}
     assert sol.materialize_best() == {1}
-    # a commit after the mark is undone like any insertion
-    sol = Solution(g, random.Random(0), online=True)
-    sol.insert(2)
-    assert sol.committed[2]
-    sol.mark_best()
-    sol.insert(0)        # degree 1: committed, 1 leaves the graph
-    assert sol.committed[0]
-    assert sol.materialize_best() == {2}
-    sol.mark_best()
-    assert sol.materialize_best() == {0, 2}

@@ -6,7 +6,7 @@ import pytest
 
 from fastmis import pipelines
 from fastmis.cut import cut_snapshot_top
-from fastmis.local_search import Budget, commit_check, perturb
+from fastmis.local_search import Budget, perturb
 from fastmis.metrics import ConvergenceLog
 from fastmis.oracle import exact_mis
 from fastmis.pipelines import ker_mis, online_mis, plain_arw
@@ -79,13 +79,14 @@ def _online_start_graphs(rng):
 @pytest.mark.parametrize("fraction", [0.0, 0.1])
 def test_online_start_leaves_nothing_to_commit(fraction):
     # after the cut and the online rules no alive vertex passes the
-    # search's commit check, so the search never commits
+    # paper's online check (a clique closed neighborhood of degree at
+    # most 2), so a search that ran it would never commit
     rng = random.Random(31 + int(fraction * 10))
     for g in _online_start_graphs(rng):
         cut_snapshot_top(g, fraction, random.Random(rng.randrange(10**6)))
         kernelize(g, rules=ONLINE_RULES)
         for v in g.alive_vertices():
-            assert not commit_check(g, v), (v, g.edges())
+            assert not (g.live_degree[v] <= 2 and g.is_simplicial(v)), (v, g.edges())
 
 
 def test_online_result_size_is_the_logged_best():

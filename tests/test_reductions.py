@@ -4,7 +4,6 @@ import random
 import pytest
 
 from fastmis.graph import load
-from fastmis.local_search import commit_check
 from fastmis.oracle import exact_mis
 from fastmis import reductions
 from fastmis.reductions import (
@@ -240,11 +239,10 @@ def test_include_vertex_matches_reference_with_constraints():
 
 
 def test_isolated_respects_degree_bound():
-    # the degree bound of the online check lives in the search's
-    # commit_check; the kernelization rule takes simplicial vertices at
-    # any degree
+    # the paper's online check takes simplicial vertices of degree at
+    # most 2; the kernelization rule takes them at any degree
     g = complete_graph(4)  # simplicial at degree 3
-    assert not commit_check(g, 0)
+    assert not (g.live_degree[0] <= 2 and g.is_simplicial(0))
     stack = ReductionStack(g)
     assert reduce_isolated(g, stack) == 1
     assert g.alive_count() == 0
@@ -745,19 +743,6 @@ def test_kernelize_stops_once_the_graph_is_empty(monkeypatch, rules):
 def test_kernelize_rejects_unknown_rule():
     with pytest.raises(ValueError):
         kernelize(empty_graph(1), rules={"pendant", "mystery"})
-
-
-def test_kernelize_rejects_stale_live_degrees():
-    # a removal without the degree update leaves vertex 2 counting the
-    # dead vertex 1; rules would read that degree as if it were exact
-    g = path_graph(4)
-    g.remove_vertex(1, update_degrees=False)
-    with pytest.raises(ValueError, match="exact live degrees"):
-        kernelize(g, rules=ALL_RULES)
-    assert g.alive == [True, False, True, True]
-    g = path_graph(4)
-    g.remove_vertex(1)
-    assert kernelize(g, rules=ALL_RULES).reduced_n == 0
 
 
 def test_kernelize_deterministic():

@@ -7,7 +7,7 @@ import random
 from itertools import combinations
 
 from fastmis.graph import Graph, load
-from fastmis.local_search import Solution, commit_check, sample_force_count
+from fastmis.local_search import Solution, sample_force_count
 
 
 def path_graph(n: int) -> Graph:
@@ -167,22 +167,23 @@ def is_independent(g: Graph, solution) -> bool:
 
 
 def check_solution_state(sol) -> None:
-    """Full rescan of the incremental search structures; ``ones_bound``
-    must be at least the rescanned number of 1-tight neighbors."""
+    """Full rescan of the incremental search structures: every member is
+    alive, and ``ones_bound`` is at least the rescanned number of 1-tight
+    neighbors."""
     g = sol.graph
     members = sol.vertices()
     assert sol.size == len(members)
     for v in members:
-        if g.alive[v]:
-            for u in g.neighbors_live(v):
-                assert not sol.in_solution[u], f"adjacent pair {v},{u} in solution"
+        assert g.alive[v], f"solution member {v} is dead"
+        for u in g.neighbors_live(v):
+            assert not sol.in_solution[u], f"adjacent pair {v},{u} in solution"
     for v in g.alive_vertices():
         want = sum(1 for u in g.neighbors_live(v) if sol.in_solution[u])
         assert sol.tightness[v] == want, f"tightness[{v}]={sol.tightness[v]} want {want}"
         should_free = not sol.in_solution[v] and want == 0
         assert (v in sol.free) == should_free, f"free flag wrong at {v}"
         assert (v in sol.non_solution) == (not sol.in_solution[v])
-        if sol.in_solution[v] and not sol.committed[v]:
+        if sol.in_solution[v]:
             ones = sum(1 for u in g.neighbors_live(v) if sol.tightness[u] == 1)
             assert sol.ones_bound[v] >= ones, \
                 f"ones_bound[{v}]={sol.ones_bound[v]} below {ones} 1-tight neighbors"
@@ -294,12 +295,12 @@ def store_state(store):
             {v: [position[id(c)] for c in cs] for v, cs in store._by_member.items()})
 
 
-def greedy_reference(g: Graph, rng: random.Random, online: bool = False) -> Solution:
+def greedy_reference(g: Graph, rng: random.Random) -> Solution:
     """The min-degree greedy pass through the solution's own methods:
     each pick that is still alive, outside and free goes through
     :meth:`Solution.insert`, and afterwards every alive solution member
     not yet queued is queued."""
-    sol = Solution._for_greedy(g, rng, online)
+    sol = Solution._for_greedy(g, rng)
     vertices = g.alive_vertices()
     if vertices:
         top = max(g.live_degree[v] for v in vertices)
@@ -357,17 +358,12 @@ class ReferenceSolution(Solution):
             raise ValueError(f"vertex {v} is not insertable")
         if self.tightness[v] != 0:
             raise ValueError(f"vertex {v} has tightness {self.tightness[v]}")
-        if self.online and commit_check(self.graph, v):
-            self._commit(v)
-            return
         self._base_insert(v)
         self._enqueue(v)
 
     def remove(self, v: int) -> None:
         if not self.in_solution[v]:
             raise ValueError(f"vertex {v} is not in the solution")
-        if self.committed[v]:
-            raise ValueError(f"vertex {v} is committed and cannot leave")
         self.in_solution[v] = False
         self.size -= 1
         if self._first_move is not None:
