@@ -18,7 +18,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphFormatError, load
+from .cut import check_fraction
+from .graph import Graph, GraphFormatError, gc_paused, load
 from .local_search import Budget, PerturbationParams
 from .metrics import ConvergenceLog, max_speedup, read_log, time_to_size, write_log
 from .pipelines import ker_mis, online_mis, plain_arw
@@ -33,6 +34,7 @@ class ParseError(ValueError):
 # file formats
 
 
+@gc_paused
 def read_metis(path) -> Graph:
     """Parse the adjacency format: header ``n m [fmt]`` then one
     1-indexed neighbor line per vertex. ``%`` lines are comments. The
@@ -41,7 +43,11 @@ def read_metis(path) -> Graph:
     offending line number.
 
     Every line is parsed and checked in bulk; only a line that fails is
-    scanned token by token, to word its first fault.
+    scanned token by token, to word its first fault. The parse runs with
+    the cyclic garbage collector paused (:func:`~fastmis.graph.gc_paused`):
+    it makes no reference cycle, yet its per-line lists would set off
+    collections that walk every graph alive in the process. The pause is
+    process-wide, so not thread-safe.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -129,9 +135,11 @@ def write_metis(g: Graph, path) -> None:
             fh.write(" ".join(str(u + 1) for u in g.adjacency[v]) + "\n")
 
 
+@gc_paused
 def read_edge_list(path, n: int | None = None) -> Graph:
     """Parse ``u v`` lines, 0-indexed, ``#`` comments; n is inferred as
-    max id + 1 unless supplied."""
+    max id + 1 unless supplied. Like :func:`read_metis`, it runs with the
+    cyclic garbage collector paused."""
     edges = []
     top = -1
     with open(path, "r", encoding="utf-8") as fh:
@@ -244,14 +252,20 @@ def _print_kernel_stats(result: KernelResult) -> None:
 
 
 def _cmd_solve(args) -> int:
+    # every argument is checked before the graph is read, which can take
+    # seconds
+    if args.algo != "kernel":
+        if args.time_limit is None and args.iterations is None:
+            print("solve: need --time-limit or --iterations", file=sys.stderr)
+            return 2
+        budget = Budget(seconds=args.time_limit, iterations=args.iterations)
+    if args.algo in ("onlinemis", "kermis"):
+        check_fraction(args.cut_fraction)
+    params = PerturbationParams(pair_cap=args.pair_cap)
     g = read_graph(args.graph, args.format, args.n)
-    if args.algo != "kernel" and args.time_limit is None and args.iterations is None:
-        print("solve: need --time-limit or --iterations", file=sys.stderr)
-        return 2
     rng = random.Random(args.seed)
     instance = args.graph.rsplit("/", 1)[-1]
     log = ConvergenceLog(algorithm=args.algo, seed=args.seed, instance=instance)
-    params = PerturbationParams(pair_cap=args.pair_cap)
 
     if args.algo == "kernel":
         start = time.perf_counter()
@@ -260,14 +274,12 @@ def _cmd_solve(args) -> int:
         solution = lift_solution(result.stack, set())
         log.append(time.perf_counter() - start, len(solution))
         _print_kernel_stats(result)
+    elif args.algo == "onlinemis":
+        solution = online_mis(g, args.cut_fraction, budget, rng, log, params)
+    elif args.algo == "kermis":
+        solution = ker_mis(g, args.cut_fraction, budget, rng, log, params)
     else:
-        budget = Budget(seconds=args.time_limit, iterations=args.iterations)
-        if args.algo == "onlinemis":
-            solution = online_mis(g, args.cut_fraction, budget, rng, log, params)
-        elif args.algo == "kermis":
-            solution = ker_mis(g, args.cut_fraction, budget, rng, log, params)
-        else:
-            solution = plain_arw(g, budget, rng, log, params)
+        solution = plain_arw(g, budget, rng, log, params)
 
     report = verify(g, solution)
     if not report.ok:

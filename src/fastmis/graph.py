@@ -12,6 +12,9 @@ the rest of the rules ask ``neighbors_live``. Adjacency lists are kept
 sorted so edge tests can bisect them, twin signatures compare equal, and
 every scan visits neighbors in a fixed order.
 
+:func:`gc_paused` runs a bulk build (parsing, :func:`load`,
+kernelization) with the cyclic garbage collector off.
+
 :meth:`Graph.copy` shares the adjacency lists with its source until one
 of the two first writes a list: :meth:`Graph.add_edge`,
 :meth:`Graph.add_gadget` and :meth:`Graph.contract_fold` then give the
@@ -21,7 +24,37 @@ vertices never write a list, so they never pay for that copy.
 
 from __future__ import annotations
 
+import functools
+import gc
 from bisect import bisect_left, insort
+
+
+def gc_paused(build):
+    """Decorate ``build`` to run with the cyclic garbage collector off.
+
+    On exit, also when ``build`` raises, the wrapper puts back the state
+    the caller had: a collector that was already off stays off. A bulk
+    build allocates an object per vertex or edge, and every such allocation
+    counts towards the next collection; each collection walks the tracked
+    objects of its generations, and a full one every container in the
+    process, other graphs included. The guarded builds make no reference
+    cycle: reference counting frees all their garbage, so memory stays
+    bounded with the collector off, and the young collection that follows
+    walks the new objects once. The switch is process-wide, so the guard is
+    not thread-safe: a build in another thread may run with the collector
+    off, or see it switched back on part-way.
+    """
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 class GraphFormatError(ValueError):
@@ -260,11 +293,14 @@ class Graph:
         assert total % 2 == 0, "odd live degree sum"
 
 
+@gc_paused
 def load(edge_set: list[tuple[int, int]], n: int) -> Graph:
     """Build a graph from an edge list, dropping self-loops and duplicates.
 
     Raises GraphFormatError when ``n`` is negative or an endpoint falls
-    outside [0, n).
+    outside [0, n). Runs with the cyclic garbage collector paused
+    (:func:`gc_paused`): the build makes no reference cycle, and the
+    pause is process-wide, so not thread-safe.
     """
     if n < 0:
         raise GraphFormatError("vertex count must be nonnegative")

@@ -368,6 +368,22 @@ def test_solve_missing_file_errors():
                  "--iterations", "5"]) == 1
 
 
+@pytest.mark.parametrize("args, code, message", [
+    (["--algo", "arw"], 2, "solve: need --time-limit or --iterations"),
+    (["--algo", "arw", "--iterations", "5", "--pair-cap", "0"], 1,
+     "fastmis: pair_cap must be at least 1"),
+    (["--algo", "onlinemis", "--iterations", "5", "--cut-fraction", "2"], 1,
+     "fastmis: fraction must be within [0, 1]"),
+    (["--algo", "kermis", "--iterations", "5", "--cut-fraction", "2"], 1,
+     "fastmis: fraction must be within [0, 1]"),
+], ids=["no-budget", "pair-cap-0", "onlinemis-fraction-2", "kermis-fraction-2"])
+def test_solve_checks_arguments_before_reading_the_graph(capsys, args, code, message):
+    # the graph file does not exist, so an error that named it would show
+    # that the file was read before the arguments were checked
+    assert main(["solve", "--graph", "/nope.metis", *args]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_solve_usage_error_exits_two(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--algo", "bogus", "--graph", "x"])
