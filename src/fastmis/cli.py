@@ -43,11 +43,8 @@ def read_metis(path) -> Graph:
     offending line number.
 
     Every line is parsed and checked in bulk; only a line that fails is
-    scanned token by token, to word its first fault. The parse runs with
-    the cyclic garbage collector paused (:func:`~fastmis.graph.gc_paused`):
-    it makes no reference cycle, yet its per-line lists would set off
-    collections that walk every graph alive in the process. The pause is
-    process-wide, so not thread-safe.
+    scanned token by token, to word its first fault. It runs under
+    :func:`~fastmis.graph.gc_paused`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -135,11 +132,9 @@ def write_metis(g: Graph, path) -> None:
             fh.write(" ".join(str(u + 1) for u in g.adjacency[v]) + "\n")
 
 
-@gc_paused
 def read_edge_list(path, n: int | None = None) -> Graph:
     """Parse ``u v`` lines, 0-indexed, ``#`` comments; n is inferred as
-    max id + 1 unless supplied. Like :func:`read_metis`, it runs with the
-    cyclic garbage collector paused."""
+    max id + 1 unless supplied."""
     edges = []
     top = -1
     with open(path, "r", encoding="utf-8") as fh:

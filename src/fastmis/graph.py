@@ -12,9 +12,6 @@ the rest of the rules ask ``neighbors_live``. Adjacency lists are kept
 sorted so edge tests can bisect them, twin signatures compare equal, and
 every scan visits neighbors in a fixed order.
 
-:func:`gc_paused` runs a bulk build (parsing, :func:`load`,
-kernelization) with the cyclic garbage collector off.
-
 :meth:`Graph.copy` shares the adjacency lists with its source until one
 of the two first writes a list: :meth:`Graph.add_edge`,
 :meth:`Graph.add_gadget` and :meth:`Graph.contract_fold` then give the
@@ -37,12 +34,13 @@ def gc_paused(build):
     build allocates an object per vertex or edge, and every such allocation
     counts towards the next collection; each collection walks the tracked
     objects of its generations, and a full one every container in the
-    process, other graphs included. The guarded builds make no reference
-    cycle: reference counting frees all their garbage, so memory stays
-    bounded with the collector off, and the young collection that follows
-    walks the new objects once. The switch is process-wide, so the guard is
-    not thread-safe: a build in another thread may run with the collector
-    off, or see it switched back on part-way.
+    process, other graphs included. So the pause pays most when other large
+    graphs are alive while ``build`` runs. Guard only a build that makes no
+    reference cycle: reference counting then frees all its garbage, so
+    memory stays bounded with the collector off, and the young collection
+    that follows walks the new objects once. The switch is process-wide, so
+    the guard is not thread-safe: a build in another thread may run with
+    the collector off, or see it switched back on part-way.
     """
     @functools.wraps(build)
     def paused(*args, **kwargs):
@@ -293,14 +291,11 @@ class Graph:
         assert total % 2 == 0, "odd live degree sum"
 
 
-@gc_paused
 def load(edge_set: list[tuple[int, int]], n: int) -> Graph:
     """Build a graph from an edge list, dropping self-loops and duplicates.
 
     Raises GraphFormatError when ``n`` is negative or an endpoint falls
-    outside [0, n). Runs with the cyclic garbage collector paused
-    (:func:`gc_paused`): the build makes no reference cycle, and the
-    pause is process-wide, so not thread-safe.
+    outside [0, n).
     """
     if n < 0:
         raise GraphFormatError("vertex count must be nonnegative")

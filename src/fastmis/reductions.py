@@ -30,8 +30,7 @@ The pendant and simplicial rules fire in place, lowering live degrees
 inline and pushing their undo records straight onto the log, and the
 expensive scans (LP, unconfined, simplicial, alternative) walk the
 adjacency lists in place instead of copying live neighbor lists. Every
-rule reads live degrees, so :func:`kernelize` refuses a graph with
-removals that skipped the degree update.
+rule reads live degrees, which every removal keeps exact.
 
 Rule catalogue
 --------------
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, gc_paused
+from .graph import Graph
 
 RULE_ORDER = (
     "pendant",
@@ -981,7 +980,6 @@ def reduce_packing_k0(g: Graph, stack: ReductionStack) -> int:
 # driver
 
 
-@gc_paused
 def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
     """Run enabled rules to a fixpoint, cheapest first. Mutates ``g`` in place.
 
@@ -992,12 +990,6 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
     stops once no vertex is alive: every rule returns 0 on an empty graph
     and changes neither the undo log nor the store, whose constraints have
     all lost their last member by then.
-
-    It runs with the cyclic garbage collector paused
-    (:func:`~fastmis.graph.gc_paused`): the rules and their undo records
-    make no reference cycle, yet the records, worklists and per-fire
-    lists would set off collections that walk every graph alive in the
-    process. The pause is process-wide, so not thread-safe.
     """
     enabled = frozenset(rules)
     unknown = enabled - ALL_RULES

@@ -1,11 +1,10 @@
-"""The bulk builds that run with the cyclic garbage collector paused.
+"""The cyclic garbage collector and the bulk builds.
 
-``read_metis``, ``read_edge_list``, ``load`` and ``kernelize`` switch the
-collector off while they run (``graph.gc_paused``). These tests check that
-each one hands back the collector state its caller had, and that the
-paused phases, and the pipelines built on them, leave no reference cycle
-behind: reference counting alone frees their garbage, so memory stays
-bounded with the collector off.
+``read_metis`` switches the collector off while it runs
+(``graph.gc_paused``). These tests check that it hands back the collector
+state its caller had, and that the parse, kernelization and the pipelines
+leave no reference cycle behind: reference counting alone frees their
+garbage, so their memory stays bounded even with the collector off.
 """
 
 import gc
@@ -13,15 +12,13 @@ import random
 
 import pytest
 
-from fastmis import reductions
-from fastmis.cli import ParseError, read_edge_list, read_metis, write_metis
-from fastmis.graph import GraphFormatError, load
+from fastmis.cli import ParseError, read_metis, write_metis
 from fastmis.local_search import Budget
 from fastmis.metrics import ConvergenceLog
 from fastmis.pipelines import ker_mis, online_mis, plain_arw
 from fastmis.reductions import ALL_RULES, KERMIS_RULES, kernelize
 
-from util import ba_graph, gnm_graph, mesh_graph, path_graph
+from util import ba_graph, gnm_graph, mesh_graph
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
@@ -33,24 +30,15 @@ def collector(request):
     (gc.enable if was else gc.disable)()
 
 
-def test_guarded_builds_restore_the_collector_state(tmp_path, collector):
+def test_read_metis_restores_the_collector_state(tmp_path, collector):
     metis = tmp_path / "p3.metis"
     metis.write_text("3 2\n2\n1 3\n2\n", encoding="utf-8")
     bad_metis = tmp_path / "bad.metis"
     bad_metis.write_text("3 2\n2\n1 x\n2\n", encoding="utf-8")
-    edges = tmp_path / "p3.edges"
-    edges.write_text("0 1\n1 2\n", encoding="utf-8")
-    bad_edges = tmp_path / "bad.edges"
-    bad_edges.write_text("0 1 2\n", encoding="utf-8")
     calls = [
         (lambda: read_metis(metis), None),
         (lambda: read_metis(bad_metis), ParseError),
-        (lambda: read_edge_list(edges), None),
-        (lambda: read_edge_list(bad_edges), ParseError),
-        (lambda: load([(0, 1)], 2), None),
-        (lambda: load([(0, 5)], 2), GraphFormatError),
-        (lambda: kernelize(path_graph(5)), None),
-        (lambda: kernelize(path_graph(5), rules={"bogus"}), ValueError),
+        (lambda: read_metis(tmp_path / "missing.metis"), FileNotFoundError),
     ]
     for call, error in calls:
         if error is None:
@@ -61,22 +49,7 @@ def test_guarded_builds_restore_the_collector_state(tmp_path, collector):
         assert gc.isenabled() is collector
 
 
-def test_rules_run_with_the_collector_off(monkeypatch, collector):
-    seen = []
-    pendant = reductions.reduce_pendant
-
-    def recording(g, stack):
-        seen.append(gc.isenabled())
-        return pendant(g, stack)
-
-    # kernelize looks its rules up at call time
-    monkeypatch.setattr(reductions, "reduce_pendant", recording)
-    assert kernelize(path_graph(5)).reduced_n == 0
-    assert seen and not any(seen)
-    assert gc.isenabled() is collector
-
-
-def test_paused_phases_make_no_garbage_cycles(tmp_path):
+def test_parse_kernelize_and_pipelines_make_no_garbage_cycles(tmp_path):
     """With the collector off, each phase leaves nothing for it to find:
     the parse, both kernelizations on graphs that fold, add gadgets and
     take alternatives, and each pipeline under an iteration budget."""
