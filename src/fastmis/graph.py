@@ -5,12 +5,13 @@ or above ``n`` are created later by reductions (folding, gadget insertion)
 and are appended so input ids stay stable for solution reporting. Removing
 a vertex flips an ``alive`` flag instead of rewriting adjacency lists.
 :meth:`Graph.neighbors_live` filters dead entries into a fresh list; the
-hot scans (the local search, :meth:`Graph.is_simplicial`, and the
-pendant, simplicial, LP, unconfined and alternative rules) walk
-``adjacency`` in place instead and check ``alive`` inline. Cutting and
-the rest of the rules ask ``neighbors_live``. Adjacency lists are kept
-sorted so edge tests can bisect them, twin signatures compare equal, and
-every scan visits neighbors in a fixed order.
+hot scans (:meth:`Graph.is_simplicial`, and the pendant, simplicial, LP,
+unconfined and alternative rules) walk ``adjacency`` in place instead and
+check ``alive`` inline. Cutting and the rest of the rules ask
+``neighbors_live``. The local search runs on :meth:`Graph.compact`'s
+graph, with no dead vertex. Adjacency lists are kept sorted so edge tests
+can bisect them, twin signatures compare equal, and every scan visits
+neighbors in a fixed order.
 
 :meth:`Graph.copy` shares the adjacency lists with its source until one
 of the two first writes a list: :meth:`Graph.add_edge`,
@@ -258,6 +259,18 @@ class Graph:
         g.next_id = self.next_id
         g._shared = self._shared = True
         return g
+
+    def compact(self) -> tuple[Graph, list[int]]:
+        """A fully alive graph on the alive vertices, renumbered in
+        ascending order so every adjacency list keeps its order, and
+        ``ids``: ``ids[i]`` is the id here of the new graph's vertex ``i``."""
+        ids = self.alive_vertices()
+        new_id = [-1] * self.next_id
+        for i, v in enumerate(ids):
+            new_id[v] = i
+        adjacency = self.adjacency
+        alive = self.alive
+        return Graph([[new_id[u] for u in adjacency[v] if alive[u]] for v in ids]), ids
 
     def _own_lists(self) -> None:
         """Copy every adjacency list in place if another graph may share

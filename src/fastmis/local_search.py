@@ -8,18 +8,16 @@ its neighborhood changes. One search iteration is a forced perturbation
 followed by swap-based local search.
 
 A (1,2)-swap at ``v`` needs two 1-tight neighbors of ``v``. Each
-solution vertex keeps ``ones_bound``, an upper bound on how many alive
+solution vertex keeps ``ones_bound``, an upper bound on how many
 neighbors are 1-tight, and :func:`local_search` skips a candidate whose
 bound is below 2 without scanning its neighborhood. The skip happens
 exactly where :func:`find_one_two_swap` would return None before any rng
 draw, so the screen leaves every trajectory and rng state unchanged.
 
-The search deletes no vertex: it works on the graph that cutting and
-reduction left. It walks ``graph.adjacency`` in place, dead entries
-included, and checks the ``alive`` flag only where a dead neighbor could
-change the outcome (see :class:`Solution`). Adjacency lists stay sorted,
-so every rng draw, set insertion and queue push happens in vertex-id
-order.
+The search graph has no dead vertex (:meth:`Graph.compact` builds one
+from what cutting and reduction leave), and the search deletes none, so
+no move checks an ``alive`` flag. Adjacency lists stay sorted, so every
+rng draw, set insertion and queue push happens in vertex-id order.
 
 :func:`run_iterated` returns the best set it has seen without copying
 it at each improvement: the solution records the first move of each
@@ -116,27 +114,21 @@ class _IndexedSet:
 
 
 class Solution:
-    """Independent set with tightness bookkeeping over a live graph.
+    """Independent set with tightness bookkeeping over a graph.
 
-    Invariant: every solution member is alive. Dead vertices cannot be
-    inserted, and nothing deletes a vertex while a solution is in use.
-    Hence the neighbor loops skip dead entries only where one could
-    change the outcome: the tightness, free and queue updates of
-    :meth:`remove` and the 1-tight list of :func:`find_one_two_swap`.
-    Elsewhere a dead entry is harmless: :meth:`insert` may raise a dead
-    vertex's tightness, which nothing reads, and a dead entry is never a
-    solution member. Only :func:`greedy_initial` reads live degrees, to
-    bucket the vertices.
+    Invariant: the search graph has no dead vertex; building a solution
+    on a graph with one raises ValueError. Only :func:`greedy_initial`
+    reads degrees, to bucket the vertices.
 
     :meth:`insert` and :meth:`remove` are the one implementation of each
     move. They update the free and non-solution sets and push the
     candidate queue inline, in the order of the adjacency lists.
 
-    ``ones_bound[v]`` bounds from above the number of alive 1-tight
-    neighbors of a solution vertex ``v``. :meth:`insert` sets it to the
-    number of live neighbors whose tightness rose to 1, :meth:`remove`
-    adds 1 at the one solution neighbor of each vertex that turned
-    1-tight, and :func:`greedy_initial` counts as :meth:`insert` does.
+    ``ones_bound[v]`` bounds from above the number of 1-tight neighbors
+    of a solution vertex ``v``. :meth:`insert` sets it to the number of
+    neighbors whose tightness rose to 1, :meth:`remove` adds 1 at the one
+    solution neighbor of each vertex that turned 1-tight, and
+    :func:`greedy_initial` counts as :meth:`insert` does.
     It is never lowered: only a removal raises the true count after the
     insertion, and a tightness rising to 2 only lowers it. Outside the
     solution the entry is stale, and no outcome depends on it.
@@ -169,6 +161,8 @@ class Solution:
         return sol
 
     def _setup(self, graph: Graph, rng: random.Random) -> None:
+        if not all(graph.alive):
+            raise ValueError("the search graph has a dead vertex; compact it first")
         capacity = graph.next_id
         self.graph = graph
         self.rng = rng
@@ -176,7 +170,7 @@ class Solution:
         self.tightness = [0] * capacity
         self.ones_bound = [0] * capacity
         self.size = 0
-        self.non_solution = _IndexedSet(capacity, graph.alive_vertices())
+        self.non_solution = _IndexedSet(capacity, range(capacity))
         self.last_out = [0] * capacity
         self.clock = 0
         self._queue: deque[int] = deque()
@@ -190,13 +184,12 @@ class Solution:
 
     def insert(self, v: int) -> None:
         """Add a free vertex: ``v`` leaves the free and non-solution
-        sets, each live neighbor whose tightness rises to 1 leaves the
-        free set and counts towards ``ones_bound[v]``, and ``v`` joins the
-        candidate queue unless it is queued already.
+        sets, each neighbor whose tightness rises to 1 leaves the free set
+        and counts towards ``ones_bound[v]``, and ``v`` joins the candidate
+        queue unless it is queued already.
         """
         in_solution = self.in_solution
-        alive = self.graph.alive
-        if in_solution[v] or not alive[v]:
+        if in_solution[v]:
             raise ValueError(f"vertex {v} is not insertable")
         tightness = self.tightness
         if tightness[v] != 0:
@@ -205,7 +198,7 @@ class Solution:
         self.size += 1
         if self._first_move is not None:
             self._first_move.setdefault(v, 1)
-        # v is alive and outside the solution, so it is in non_solution
+        # v is outside the solution, so it is in non_solution
         items = self.non_solution.items
         pos = self.non_solution.pos
         i = pos[v]
@@ -227,8 +220,7 @@ class Solution:
         for u in self.graph.adjacency[v]:
             t = tightness[u] + 1
             tightness[u] = t
-            if t == 1 and alive[u]:
-                # a dead u is in no set and takes part in no swap
+            if t == 1:
                 ones += 1
                 i = pos[u]
                 if i >= 0:
@@ -245,7 +237,7 @@ class Solution:
 
     def remove(self, v: int) -> None:
         """Take ``v`` out: it joins the non-solution set, and the free set
-        if it has no solution neighbor; each live neighbor outside the
+        if it has no solution neighbor; each neighbor outside the
         solution whose tightness falls to 0 joins the free set, and one
         whose tightness falls to 1 adds 1 to the ``ones_bound`` of its
         solution neighbor and queues it."""
@@ -263,15 +255,12 @@ class Solution:
         non_solution.pos[v] = len(non_solution.items)
         non_solution.items.append(v)
         adjacency = self.graph.adjacency
-        alive = self.graph.alive
         tightness = self.tightness
         items = self.free.items
         pos = self.free.pos
         queued = self._queued
         ones_bound = self.ones_bound
         for u in adjacency[v]:
-            if not alive[u]:
-                continue
             t = tightness[u] - 1
             tightness[u] = t
             if not in_solution[u]:
@@ -341,16 +330,14 @@ def greedy_initial(g: Graph, rng: random.Random) -> Solution:
     Each pick is ``rng.randrange(len(bucket))`` drawn inline as the
     standard library draws it (:meth:`Solution.maximalize`). The pass
     does the work of :meth:`Solution.insert` inline. Nothing leaves the
-    solution and no vertex dies during it, so every pick is alive, the
-    free set stays empty and is exact at the end, and every insert is
-    queued once.
+    solution during it, so the free set stays empty and is exact at the
+    end, and every insert is queued once.
     """
     sol = Solution._for_greedy(g, rng)
-    items = sol.non_solution.items   # every alive vertex, before the pass
+    items = sol.non_solution.items   # every vertex, before the pass
     pos = sol.non_solution.pos
     if not items:
         return sol
-    alive = g.alive
     adjacency = g.adjacency
     live_degree = g.live_degree
     in_solution = sol.in_solution
@@ -389,7 +376,7 @@ def greedy_initial(g: Graph, rng: random.Random) -> Solution:
             for u in adjacency[v]:
                 t = tightness[u] + 1
                 tightness[u] = t
-                if t == 1 and alive[u]:
+                if t == 1:
                     ones += 1
             ones_bound[v] = ones
             queued[v] = True
@@ -409,8 +396,7 @@ def find_one_two_swap(sol: Solution, v: int, pair_cap: int | None = None):
         raise ValueError(f"vertex {v} is not in the solution")
     g = sol.graph
     tightness = sol.tightness
-    alive = g.alive
-    ones = [u for u in g.adjacency[v] if tightness[u] == 1 and alive[u]]
+    ones = [u for u in g.adjacency[v] if tightness[u] == 1]
     if len(ones) < 2:
         return None
     # rng.shuffle(ones), inline: the same draws and the same swaps
@@ -526,7 +512,7 @@ def run_iterated(g: Graph, sol: Solution, budget: Budget, log: ConvergenceLog,
     Returns the best solution seen as a vertex-id set and appends one
     (elapsed, size) point per strict improvement, with ``size_offset``
     added to reported sizes so callers can log lifted totals. Stops early
-    once every live vertex is in the solution: nothing can enter it any
+    once every vertex is in the solution: nothing can enter it any
     more, so the result cannot change.
     """
     if sol.graph is not g:

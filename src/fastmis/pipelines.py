@@ -1,9 +1,9 @@
 """The composite solvers: online reduction, kernel-first, and plain search.
 
-Every pipeline copies the input graph, runs its stages on the copy, and
-returns original vertex ids forming an independent set of the input.
-The two reducing pipelines differ only in their rules and cut, and share
-the search of the residual graph and the lift (:func:`_search_residual`).
+The two reducing pipelines run their rules and cut on a copy of the
+input graph. All three pipelines end in :func:`_search_residual`, which
+searches the residual graph (the input itself for ``plain_arw``: the
+search never writes it) and lifts the best set to original vertex ids.
 
 Where ``onlinemis`` departs from the paper: the paper commits a vertex
 whose degree-<=2 closed neighborhood is a clique whenever the greedy
@@ -66,18 +66,22 @@ def _search_residual(work: Graph, stack: ReductionStack, budget: Budget,
                      rng: random.Random, log: ConvergenceLog | None,
                      params: PerturbationParams | None, start: float) -> set[int]:
     """Search the residual graph ``work`` and lift the best set through
-    ``stack``; an empty residual graph skips the search."""
+    ``stack``; an empty residual graph skips the search. One with a dead
+    vertex is searched as :meth:`Graph.compact` renumbers it, which
+    changes no step of the search, and the best set is mapped back."""
     if log is None:
         log = ConvergenceLog()
-    if work.alive_count() == 0:
+    live = work.alive_count()
+    if live == 0:
         lifted = lift_solution(stack, set())
         elapsed = 0.0 if budget.deterministic else time.perf_counter() - start
         log.append(elapsed, len(lifted))
         return lifted
-    sol = greedy_initial(work, rng)
-    best = run_iterated(work, sol, budget, log, rng, params,
+    search, ids = work.compact() if live < work.next_id else (work, None)
+    sol = greedy_initial(search, rng)
+    best = run_iterated(search, sol, budget, log, rng, params,
                         size_offset=stack.offset, start_time=start)
-    return lift_solution(stack, best)
+    return lift_solution(stack, best if ids is None else {ids[v] for v in best})
 
 
 def plain_arw(g: Graph, budget: Budget, rng: random.Random,
@@ -85,8 +89,4 @@ def plain_arw(g: Graph, budget: Budget, rng: random.Random,
               params: PerturbationParams | None = None) -> set[int]:
     """Baseline: greedy start plus iterated local search, untouched graph."""
     start = time.perf_counter()
-    if log is None:
-        log = ConvergenceLog()
-    work = g.copy()
-    sol = greedy_initial(work, rng)
-    return run_iterated(work, sol, budget, log, rng, params, start_time=start)
+    return _search_residual(g, ReductionStack(g), budget, rng, log, params, start)

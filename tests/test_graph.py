@@ -277,3 +277,32 @@ def test_random_operation_sequences_keep_invariants():
             g.validate()
         total = sum(g.live_degree[v] for v in g.alive_vertices())
         assert total % 2 == 0
+
+
+def test_compact_renumbers_live_part_in_id_order():
+    rng = random.Random(12)
+    synthetic = 0
+    for _ in range(40):
+        g = er_graph(rng, rng.randrange(2, 16), rng.uniform(0.1, 0.6))
+        for _ in range(rng.randrange(1, 10)):
+            alive = g.alive_vertices()
+            move = rng.randrange(3)
+            if move == 0 and alive:
+                g.remove_vertex(rng.choice(alive))
+            elif move == 1:
+                g.add_gadget(rng.sample(alive, min(len(alive), rng.randrange(3))))
+            else:
+                for v in alive:
+                    if g.live_degree[v] == 2:
+                        u, w = g.neighbors_live(v)
+                        if not g.has_live_edge(u, w):
+                            g.contract_fold(v, u, w)
+                            break
+        synthetic += any(g.alive[v] for v in range(g.n, g.next_id))
+        compact, ids = g.compact()
+        compact.validate()
+        assert ids == g.alive_vertices()
+        assert compact.n == compact.next_id == len(ids) == compact.alive_count()
+        assert compact.live_degree == [g.live_degree[v] for v in ids]
+        assert sorted((ids[a], ids[b]) for a, b in compact.edges()) == g.edges()
+    assert synthetic > 5

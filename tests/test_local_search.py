@@ -104,6 +104,7 @@ def test_greedy_matches_method_by_method_reference():
             g = er_graph(rng, n, rng.uniform(0.02, 0.3))
         for v in rng.sample(range(g.n), rng.randrange(g.n // 4 + 1)):
             g.remove_vertex(v)   # as a cut before the pass does
+        g, _ = g.compact()
         seed = rng.randrange(10**9)
         got = greedy_initial(g.copy(), random.Random(seed))
         want = greedy_reference(g.copy(), random.Random(seed))
@@ -112,6 +113,18 @@ def test_greedy_matches_method_by_method_reference():
 
 # ----------------------------------------------------------------------
 # insert / remove
+
+
+def test_search_rejects_a_graph_with_a_dead_vertex():
+    g = path_graph(4)
+    g.remove_vertex(1)
+    with pytest.raises(ValueError, match="dead vertex"):
+        Solution(g, random.Random(0))
+    with pytest.raises(ValueError, match="dead vertex"):
+        greedy_initial(g, random.Random(0))
+    compact, ids = g.compact()
+    assert ids == [0, 2, 3]
+    assert greedy_initial(compact, random.Random(0)).size == 2
 
 
 def test_insert_isolated_vertex():
@@ -286,8 +299,8 @@ def test_perturb_keeps_invariants():
 
 
 def test_search_keeps_invariants_with_dead_vertices():
-    # vertices deleted before the solution is built, as cutting and
-    # kernelization leave them: dead entries stay in every adjacency list
+    # vertices deleted before the search, as cutting and kernelization
+    # leave them; the search runs on the compacted graph
     rng = random.Random(31)
     for trial in range(80):
         g = er_graph(rng, rng.randrange(2, 16), rng.uniform(0.1, 0.6))
@@ -296,6 +309,7 @@ def test_search_keeps_invariants_with_dead_vertices():
             for v in g.alive_vertices():
                 if rng.random() < 0.25:
                     g.remove_vertex(v)
+        g, ids = g.compact()
         sol = greedy_initial(g, random.Random(rng.randrange(10**6)))
         check_solution_state(sol)
         for _ in range(20):
@@ -303,7 +317,7 @@ def test_search_keeps_invariants_with_dead_vertices():
             local_search(sol, pair_cap=None)
             check_solution_state(sol)
             assert len(sol.free) == 0
-            assert is_independent(original, sol.vertices())
+            assert is_independent(original, [ids[v] for v in sol.vertices()])
 
 
 def search_state(sol):
@@ -334,6 +348,7 @@ def test_search_matches_method_by_method_reference(pair_cap):
         if trial % 4:
             for v in rng.sample(range(g.n), rng.randrange(g.n // 4 + 1)):
                 g.remove_vertex(v)   # as a cut or a kernel leaves the graph
+            g, _ = g.compact()
         params = PerturbationParams(candidate_pool=1 + trial % 4, pair_cap=pair_cap)
         sol = greedy_initial(g, random.Random(rng.randrange(10**9)))
         ref = ReferenceSolution.adopt(sol)

@@ -696,18 +696,6 @@ def test_kernelize_runs_settled_lp_once(monkeypatch):
     assert result.reduced_n == 10
 
 
-RULE_FUNCTIONS = {
-    "pendant": reduce_pendant,
-    "isolated": reduce_isolated,
-    "fold": reduce_fold,
-    "lp": reduce_lp,
-    "unconfined": reduce_unconfined,
-    "twin": reduce_twin,
-    "alternative": reduce_alternative,
-    "packing": reduce_packing_k0,
-}
-
-
 @pytest.mark.parametrize("rules", [ALL_RULES, KERMIS_RULES], ids=["all", "kermis"])
 def test_kernelize_stops_once_the_graph_is_empty(monkeypatch, rules):
     # kernelize looks the rule functions up at call time, so wrappers see

@@ -297,9 +297,9 @@ def store_state(store):
 
 def greedy_reference(g: Graph, rng: random.Random) -> Solution:
     """The min-degree greedy pass through the solution's own methods:
-    each pick that is still alive, outside and free goes through
-    :meth:`Solution.insert`, and afterwards every alive solution member
-    not yet queued is queued."""
+    each pick that is still outside and free goes through
+    :meth:`Solution.insert`, and afterwards every solution member not yet
+    queued is queued."""
     sol = Solution._for_greedy(g, rng)
     vertices = g.alive_vertices()
     if vertices:
@@ -313,7 +313,7 @@ def greedy_reference(g: Graph, rng: random.Random) -> Solution:
                 v = bucket[i]
                 bucket[i] = bucket[-1]
                 bucket.pop()
-                if g.alive[v] and not sol.in_solution[v] and sol.tightness[v] == 0:
+                if not sol.in_solution[v] and sol.tightness[v] == 0:
                     sol.insert(v)
     for v in g.alive_vertices():
         if sol.in_solution[v] and not sol._queued[v]:
@@ -354,7 +354,7 @@ class ReferenceSolution(Solution):
         return ref
 
     def insert(self, v: int) -> None:
-        if self.in_solution[v] or not self.graph.alive[v]:
+        if self.in_solution[v]:
             raise ValueError(f"vertex {v} is not insertable")
         if self.tightness[v] != 0:
             raise ValueError(f"vertex {v} has tightness {self.tightness[v]}")
@@ -372,8 +372,6 @@ class ReferenceSolution(Solution):
         self.last_out[v] = self.clock
         _set_add(self.non_solution, v)
         for u in self.graph.adjacency[v]:
-            if not self.graph.alive[u]:
-                continue
             self.tightness[u] -= 1
             if not self.in_solution[u]:
                 if self.tightness[u] == 0:
@@ -414,13 +412,13 @@ class ReferenceSolution(Solution):
         while self._queue:
             v = self._queue.popleft()
             self._queued[v] = False
-            if self.in_solution[v] and self.graph.alive[v]:
+            if self.in_solution[v]:
                 return v
         return None
 
     def find_one_two_swap(self, v: int, pair_cap: int | None):
         g = self.graph
-        ones = [u for u in g.adjacency[v] if self.tightness[u] == 1 and g.alive[u]]
+        ones = [u for u in g.adjacency[v] if self.tightness[u] == 1]
         if len(ones) < 2:
             return None
         self.rng.shuffle(ones)
