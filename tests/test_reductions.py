@@ -676,6 +676,34 @@ def test_fixpoint_rules_find_nothing_when_rerun():
     assert constraints > 100
 
 
+# Recorded before packing constraints became plain member sets. The
+# golden kernels never see packing fire; random rule sequences on small
+# G(n, p) graphs do, after unconfined exclusions. The digest hashes the
+# offset after every step and the final undo log and alive flags, but
+# not the counts the rules return.
+GOLDEN_PACKING_DIGEST = "3dc54a805ac0577d"
+
+
+def test_packing_sequences_golden():
+    rng = random.Random(1)
+    h = hashlib.sha256()
+    packing_fires = 0
+    for _ in range(3000):
+        g = er_graph(rng, rng.randrange(2, 30), rng.uniform(0.05, 0.5))
+        stack = ReductionStack(g)
+        for _ in range(8):
+            name = rng.choice(RULE_ORDER)
+            before = len(stack.entries)
+            RULE_FUNCTIONS[name](g, stack)
+            if name == "packing":
+                packing_fires += len(stack.entries) > before
+            h.update(f"{name} {stack.offset}\n".encode())
+        h.update(repr(stack.entries).encode())
+        h.update(repr(g.alive).encode())
+    assert packing_fires > 100
+    assert h.hexdigest()[:16] == GOLDEN_PACKING_DIGEST
+
+
 def test_kernelize_runs_settled_lp_once(monkeypatch):
     # K(3,5) leaves to LP alone, which takes its larger side; the Petersen
     # graph is reduced by no KERMIS rule, so nothing fires after LP
