@@ -46,8 +46,9 @@ twin         two degree-3 vertices sharing a neighborhood; either both
              are taken or a gadget vertex defers the choice.
 alternative  funnel and chordless-4-cycle patterns where one of two sets
              is in some optimal solution; cross-edges splice the rest.
-packing      constraints accumulated from exclusions; a bound-0
-             constraint over an edgeless set forces inclusions.
+packing      each unconfined exclusion leaves the set of its live
+             neighbors, one of which an optimum takes; exclusions shrink
+             the set, and its last member is taken.
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ class ReductionStack:
 
     ``offset`` is the guaranteed size bonus of lifting: every lifted
     solution has exactly ``len(kernel_solution) + offset`` vertices.
-    ``constraints`` holds the packing constraints the rules maintain.
+    ``constraints`` is the :class:`ConstraintStore` of packing
+    constraints: the unconfined rule adds them, every rule that removes a
+    vertex notes it there, and the packing rule fires them.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -159,70 +162,40 @@ class KernelResult:
 # packing constraints
 
 
-@dataclass
-class PackingConstraint:
-    """At most ``bound`` of ``members`` may stay out of the solution."""
-
-    members: set[int]
-    bound: int
-    retired: bool = False
-
-
 class ConstraintStore:
-    """Constraints created by exclusions, maintained as the graph shrinks.
+    """Packing constraints created by exclusions, kept as member sets.
 
-    A vertex excluded because the optimum is preserved without it forces
-    some live neighbor into every optimal solution of the residual graph;
-    that fact is recorded as a constraint over the neighborhood. Rules
-    that may later re-insert a removed vertex (fold, twin, alternative)
-    make referencing constraints unusable, so those are retired.
+    A vertex excluded because some optimum avoids it forces one of its
+    live neighbors into every optimum of the residual graph. That fact is
+    kept as the set of neighbors that may still satisfy it: an exclusion
+    discards a member, and a set with one member left forces that member
+    in. A member that joins the solution satisfies the constraint, and
+    one that a fold, twin or alternative takes may come back through the
+    undo log on either side, so both empty every set that holds it.
+    Every removal inside :func:`kernelize` notes the store, so a set
+    holds only alive vertices.
     """
 
     def __init__(self) -> None:
-        self.constraints: list[PackingConstraint] = []
-        self._by_member: dict[int, list[PackingConstraint]] = {}
+        self.constraints: list[set[int]] = []
+        self._by_member: dict[int, list[set[int]]] = {}
 
     def add_neighbor_constraint(self, neighbors: list[int]) -> None:
         if not neighbors:
             return
-        c = PackingConstraint(set(neighbors), len(neighbors) - 1)
-        self._settle(c)
-        if c.retired:
-            return
-        self.constraints.append(c)
-        for v in c.members:
-            self._by_member.setdefault(v, []).append(c)
-
-    def note_include(self, v: int) -> None:
-        for c in self._by_member.pop(v, ()):  # solution member: term drops out
-            if not c.retired:
-                c.members.discard(v)
-                self._settle(c)
+        members = set(neighbors)
+        self.constraints.append(members)
+        for v in members:
+            self._by_member.setdefault(v, []).append(members)
 
     def note_exclude(self, v: int) -> None:
-        for c in self._by_member.pop(v, ()):  # definite non-member: bound shrinks
-            if not c.retired:
-                c.members.discard(v)
-                c.bound -= 1
-                self._settle(c)
+        for members in self._by_member.pop(v, ()):
+            members.discard(v)
 
-    def note_opaque(self, vertices) -> None:
+    def empty_constraints_of(self, *vertices: int) -> None:
         for v in vertices:
-            for c in self._by_member.pop(v, ()):
-                c.retired = True
-
-    def fireable(self) -> list[PackingConstraint]:
-        return [
-            c for c in self.constraints
-            if not c.retired and c.bound == 0 and c.members
-        ]
-
-    def _settle(self, c: PackingConstraint) -> None:
-        # len(members) <= bound means the constraint can never bite;
-        # bound < 0 cannot occur for a consistent reduction sequence and
-        # is dropped defensively rather than acted upon
-        if c.bound < 0 or len(c.members) <= c.bound:
-            c.retired = True
+            for members in self._by_member.pop(v, ()):
+                members.clear()
 
 
 # ----------------------------------------------------------------------
@@ -233,13 +206,13 @@ def _include_vertex(g: Graph, stack: ReductionStack, v: int) -> None:
     """Commit ``v`` to the solution and drop its closed neighborhood.
 
     The store is told only while it tracks a member: with ``_by_member``
-    empty, ``note_include`` and ``note_exclude`` change nothing.
+    empty, no note changes anything.
     """
     store = stack.constraints
     tracked = store._by_member
     stack.push_include(v)
     if tracked:
-        store.note_include(v)
+        store.empty_constraints_of(v)
     nbrs = g.neighbors_live(v)
     g.remove_vertex(v)
     for u in nbrs:
@@ -280,7 +253,7 @@ def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
                 break
         push(IncludeVertex(v))
         if tracked:
-            store.note_include(v)
+            store.empty_constraints_of(v)
             store.note_exclude(u)
         alive[v] = False
         alive[u] = False
@@ -324,7 +297,7 @@ def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
             ring.update([x for x in adjacency[u] if alive[x]])
         push(IncludeVertex(v))
         if tracked:
-            store.note_include(v)
+            store.empty_constraints_of(v)
         alive[v] = False
         for u in nbrs:
             if tracked:
@@ -356,7 +329,7 @@ def reduce_fold(g: Graph, stack: ReductionStack) -> int:
         affected = set(g.neighbors_live(u)) | set(g.neighbors_live(w))
         merged = g.contract_fold(v, u, w)
         stack.push_fold(merged, u, v, w)
-        stack.constraints.note_opaque((u, v, w))
+        stack.constraints.empty_constraints_of(u, v, w)
         count += 1
         if g.live_degree[merged] == 2:
             queue.append(merged)
@@ -473,7 +446,7 @@ def _apply_twin(g: Graph, stack: ReductionStack, u: int, v: int,
     two_ring.discard(u)
     two_ring.discard(v)
     two_ring.difference_update(shared)
-    stack.constraints.note_opaque((u, v, *shared))
+    stack.constraints.empty_constraints_of(u, v, *shared)
     g.remove_vertex(u)
     g.remove_vertex(v)
     for x in shared:
@@ -500,7 +473,7 @@ def _apply_funnels(g: Graph, stack: ReductionStack) -> int:
         common = sorted(set(g.neighbors_live(u)) & set(g.neighbors_live(v)))
         a_out = [x for x in g.neighbors_live(u) if x != v and x not in common]
         b_out = [x for x in g.neighbors_live(v) if x != u and x not in common]
-        stack.constraints.note_opaque((u, v))
+        stack.constraints.empty_constraints_of(u, v)
         g.remove_vertex(u)
         g.remove_vertex(v)
         for x in common:
@@ -602,7 +575,7 @@ def _fire_four_cycle(g, stack, a1, a2, b1, b2) -> bool:
         return False
     if set(a_out) & set(b_out):
         return False   # shared outside neighborhood disqualifies the pattern
-    stack.constraints.note_opaque(a_set + b_set)
+    stack.constraints.empty_constraints_of(*a_set, *b_set)
     for x in a_set + b_set:
         g.remove_vertex(x)
     crosses = []
@@ -950,29 +923,25 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
 
 
 def reduce_packing_k0(g: Graph, stack: ReductionStack) -> int:
-    """Fire bound-0 constraints: every member joins the solution."""
+    """Take the last member of every constraint that has one left, to a
+    fixpoint.
+
+    Each pass fires the constraints that had one member at its start, in
+    the order they were made; a fire may empty a later one, which then
+    takes nothing and counts nothing. A set holds only alive vertices
+    (see :class:`ConstraintStore`), and one member has no inner edge.
+    """
+    constraints = stack.constraints.constraints
     count = 0
     progress = True
     while progress:
         progress = False
-        for c in stack.constraints.fireable():
-            members = sorted(c.members)
-            if not all(g.alive[v] for v in members):
-                c.retired = True
-                continue
-            has_edge = any(
-                g.has_live_edge(a, b)
-                for i, a in enumerate(members)
-                for b in members[i + 1:]
-            )
-            c.retired = True
-            if has_edge:
-                continue   # cannot arise from sound exclusions; drop defensively
-            for v in members:
-                if g.alive[v]:
-                    _include_vertex(g, stack, v)
-            count += 1
-            progress = True
+        for members in [c for c in constraints if len(c) == 1]:
+            if members:
+                [v] = members
+                _include_vertex(g, stack, v)
+                count += 1
+                progress = True
     return count
 
 
@@ -1046,8 +1015,10 @@ def lift_solution(stack: ReductionStack, kernel_solution) -> set[int]:
     for v in solution:
         if not 0 <= v < g.next_id or not g.alive[v]:
             raise ValueError(f"solution vertex {v} is not alive in the reduced graph")
+    # every member is alive, so a dead entry of a list never matches
+    adjacency = g.adjacency
     for v in solution:
-        for u in g.neighbors_live(v):
+        for u in adjacency[v]:
             if u in solution:
                 raise ValueError(f"solution is not independent: edge ({v}, {u})")
     for entry in reversed(stack.entries):

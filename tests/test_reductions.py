@@ -533,57 +533,69 @@ def test_alternative_preserves_optimum_on_randoms():
 
 
 def test_packing_zero_bound_fires():
-    g = load([(0, 2), (1, 2)], 3)
+    # an exclusion leaves {0} of {0, 1}, so none may stay out: 0 joins,
+    # and its neighbor 2 drops
+    g = load([(0, 2), (1, 2), (1, 3)], 4)
     stack = ReductionStack(g)
     store = stack.constraints
     store.add_neighbor_constraint([0, 1])
-    store.constraints[0].bound = 0  # both 0 and 1 forced in
+    store.note_exclude(1)
+    g.remove_vertex(1)
     assert reduce_packing_k0(g, stack) == 1
-    assert lift_solution(stack, set()) == {0, 1}
-    assert g.alive_count() == 0
+    assert g.alive_vertices() == [3]
+    assert lift_solution(stack, {3}) == {0, 3}
+    assert store.constraints == [set()]
 
 
 def test_packing_positive_bound_no_action():
+    # two members left: one may stay out
     g = load([(0, 2), (1, 2)], 3)
     stack = ReductionStack(g)
-    stack.constraints.add_neighbor_constraint([0, 1])  # bound 1
+    stack.constraints.add_neighbor_constraint([0, 1])
     assert reduce_packing_k0(g, stack) == 0
     assert g.alive_count() == 3
 
 
-def test_packing_edge_inside_members_is_dropped():
-    g = load([(0, 1)], 2)
+def test_packing_counts_only_real_fires():
+    # on K3 the unconfined rule leaves {2} twice; the first fire takes 2
+    # and empties the second, which takes nothing
+    g = complete_graph(3)
     stack = ReductionStack(g)
-    store = stack.constraints
-    store.add_neighbor_constraint([0, 1])
-    store.constraints[0].bound = 0
-    assert reduce_packing_k0(g, stack) == 0
-    assert store.constraints[0].retired
+    assert reduce_unconfined(g, stack) == 2
+    assert stack.constraints.constraints == [{2}, {2}]
+    assert reduce_packing_k0(g, stack) == 1
+    assert stack.offset == 1 and g.alive_count() == 0
+    assert stack.constraints.constraints == [set(), set()]
 
 
 def test_packing_maintenance_via_exclusions():
     store = ConstraintStore()
-    store.add_neighbor_constraint([0, 1, 2])  # bound 2
+    store.add_neighbor_constraint([0, 1, 2])
     store.note_exclude(0)
     store.note_exclude(1)
-    live = [c for c in store.constraints if not c.retired]
-    assert len(live) == 1 and live[0].bound == 0 and live[0].members == {2}
-    assert store.fireable() == live
+    assert store.constraints == [{2}]
 
 
-def test_packing_include_keeps_bound():
-    store = ConstraintStore()
-    store.add_neighbor_constraint([0, 1, 2])
-    store.note_include(0)
-    c = store.constraints[0]
-    assert c.retired  # two members, bound 2: can never bite
+def test_packing_include_empties_a_constraint():
+    # P4: taking 0 satisfies {0, 2}; dropping its neighbor 1 shrinks {1, 3}
+    g = path_graph(4)
+    stack = ReductionStack(g)
+    store = stack.constraints
+    store.add_neighbor_constraint([0, 2])
+    store.add_neighbor_constraint([1, 3])
+    _include_vertex(g, stack, 0)
+    assert store.constraints == [set(), {3}]
 
 
 def test_packing_opaque_retires():
-    store = ConstraintStore()
-    store.add_neighbor_constraint([0, 1, 2])
-    store.note_opaque([1])
-    assert store.constraints[0].retired
+    # folding P3 takes all three vertices; the undo may put 0 back or not
+    g = path_graph(3)
+    stack = ReductionStack(g)
+    store = stack.constraints
+    store.add_neighbor_constraint([0, 2])
+    assert reduce_fold(g, stack) == 1
+    assert store.constraints == [set()]
+    assert store._by_member == {}
 
 
 def test_packing_enabled_sweep_preserves_optimum():
@@ -783,15 +795,23 @@ def test_lift_include_only_stack_unions():
 def test_lift_rejects_dependent_solution():
     g = path_graph(3)
     stack = ReductionStack(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^solution is not independent: edge \(0, 1\)$"):
         lift_solution(stack, {0, 1})
+    # members are walked in ascending order here; 1's list opens with the
+    # dead vertex 0, and 2 is its first neighbor in the solution
+    g = path_graph(4)
+    stack = ReductionStack(g)
+    g.remove_vertex(0)
+    with pytest.raises(ValueError, match=r"^solution is not independent: edge \(1, 2\)$"):
+        lift_solution(stack, {1, 2, 3})
 
 
 def test_lift_rejects_dead_vertices():
     g = path_graph(3)
     stack = ReductionStack(g)
     g.remove_vertex(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^solution vertex 0 is not alive in the reduced graph$"):
         lift_solution(stack, {0})
     # negative ids would otherwise index alive[] from the end
     with pytest.raises(ValueError):

@@ -240,7 +240,7 @@ def pendant_reference(g: Graph, stack) -> int:
         [u] = g.neighbors_live(v)
         second_ring = [x for x in g.neighbors_live(u) if x != v]
         stack.push_include(v)
-        store.note_include(v)
+        store.empty_constraints_of(v)
         g.remove_vertex(v)
         store.note_exclude(u)
         g.remove_vertex(u)
@@ -257,7 +257,7 @@ def include_reference(g: Graph, stack, v: int) -> None:
     vertex, whether or not the store tracks it."""
     store = stack.constraints
     stack.push_include(v)
-    store.note_include(v)
+    store.empty_constraints_of(v)
     nbrs = g.neighbors_live(v)
     g.remove_vertex(v)
     for u in nbrs:
@@ -288,10 +288,10 @@ def isolated_reference(g: Graph, stack) -> int:
 
 
 def store_state(store):
-    """Every constraint as (members, bound, retired), and the member map
-    with each constraint named by its position in the list."""
+    """Every constraint as its sorted members, and the member map with
+    each constraint named by its position in the list."""
     position = {id(c): i for i, c in enumerate(store.constraints)}
-    return ([(sorted(c.members), c.bound, c.retired) for c in store.constraints],
+    return ([sorted(c) for c in store.constraints],
             {v: [position[id(c)] for c in cs] for v, cs in store._by_member.items()})
 
 
