@@ -23,11 +23,14 @@ pass and are always rerun.
 
 Rules do not commute, so which vertices a rule takes, and in what order,
 decides the kernel. A faster rewrite of a scan may therefore not change
-any decision: the same vertices in the same order, the same undo records
-and the same lifted solutions. ``test_kernelize_golden`` pins digests of
+any decision: the same vertices in the same order, the same undo-log
+entries and the same lifted solutions. ``test_kernelize_golden`` pins digests of
 the undo log, the kernel's alive set and its edge list to enforce that.
-The pendant and simplicial rules fire in place, lowering live degrees
-inline and pushing their undo records straight onto the log, and the
+The undo log records an include as the bare vertex id, an ``int``, so
+the tens of thousands of includes of a hub graph allocate no object the
+cyclic collector tracks; folds, twin gadgets and alternatives push
+records. The pendant and simplicial rules fire in place, lowering live
+degrees inline and appending their ids straight onto the log, and the
 expensive scans (LP, unconfined, simplicial, alternative) walk the
 adjacency lists in place instead of copying live neighbor lists. Every
 rule reads live degrees, which every removal keeps exact.
@@ -80,12 +83,7 @@ FIXPOINT_RULES = frozenset({"pendant", "isolated", "fold", "lp", "packing"})
 
 
 # ----------------------------------------------------------------------
-# undo records
-
-
-@dataclass(frozen=True, slots=True)
-class IncludeVertex:
-    v: int
+# undo records; an include is logged as the bare vertex id
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,6 +115,9 @@ class Alternative:
 class ReductionStack:
     """Ordered undo log mapping reduced-graph solutions back to the input.
 
+    ``entries`` holds, oldest first, one entry per reduction: the vertex
+    id itself for a vertex taken into the solution, and a :class:`Fold`,
+    :class:`TwinGadget` or :class:`Alternative` record for the others.
     ``offset`` is the guaranteed size bonus of lifting: every lifted
     solution has exactly ``len(kernel_solution) + offset`` vertices.
     ``constraints`` is the :class:`ConstraintStore` of packing
@@ -131,7 +132,7 @@ class ReductionStack:
         self.constraints = ConstraintStore()
 
     def push_include(self, v: int) -> None:
-        self.entries.append(IncludeVertex(v))
+        self.entries.append(v)
         self.offset += 1
 
     def push_fold(self, merged: int, left: int, center: int, right: int) -> None:
@@ -232,7 +233,7 @@ def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
     in place: it lowers the live degrees there and queues every vertex
     whose degree falls to 1. The lists are sorted, so the queue gets the
     same vertices in the same order as a scan of u's live list after the
-    removal would give it. The undo records go straight onto the log and
+    removal would give it. The included ids go straight onto the log and
     the offset grows once at the end; the store is told only while it
     tracks a member, as in :func:`_include_vertex`.
     """
@@ -251,7 +252,7 @@ def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
         for u in adjacency[v]:
             if alive[u]:
                 break
-        push(IncludeVertex(v))
+        push(v)
         if tracked:
             store.empty_constraints_of(v)
             store.note_exclude(u)
@@ -272,7 +273,7 @@ def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
     """Take simplicial vertices (closed neighborhood a clique), to a fixpoint.
 
     Each fire commits ``v`` and drops its live neighbors in place, as the
-    pendant rule does: the same records, store notes and live degrees as
+    pendant rule does: the same log entries, store notes and live degrees as
     :func:`_include_vertex`, with no live-list copy. Before that it walks
     the neighbors' lists once to collect their live neighbors, in the
     order a union of their live lists gives, and queues those still alive
@@ -295,7 +296,7 @@ def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
         ring = set()
         for u in nbrs:
             ring.update([x for x in adjacency[u] if alive[x]])
-        push(IncludeVertex(v))
+        push(v)
         if tracked:
             store.empty_constraints_of(v)
         alive[v] = False
@@ -1006,9 +1007,10 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
 def lift_solution(stack: ReductionStack, kernel_solution) -> set[int]:
     """Map a kernel independent set back to one of the input graph.
 
-    Replays the undo log newest-first: included vertices rejoin, folded
-    and gadget vertices resolve to the branch their membership selects.
-    The output never contains synthetic vertex ids.
+    Replays the undo log newest-first: included vertices (the ``int``
+    entries) rejoin, folded and gadget vertices resolve to the branch
+    their membership selects. The output never contains synthetic
+    vertex ids.
     """
     g = stack.graph
     solution = set(kernel_solution)
@@ -1022,16 +1024,17 @@ def lift_solution(stack: ReductionStack, kernel_solution) -> set[int]:
             if u in solution:
                 raise ValueError(f"solution is not independent: edge ({v}, {u})")
     for entry in reversed(stack.entries):
-        if isinstance(entry, IncludeVertex):
-            solution.add(entry.v)
-        elif isinstance(entry, Fold):
+        kind = type(entry)
+        if kind is int:
+            solution.add(entry)
+        elif kind is Fold:
             if entry.merged in solution:
                 solution.discard(entry.merged)
                 solution.add(entry.left)
                 solution.add(entry.right)
             else:
                 solution.add(entry.center)
-        elif isinstance(entry, TwinGadget):
+        elif kind is TwinGadget:
             if entry.gadget in solution:
                 solution.discard(entry.gadget)
                 solution.update(entry.shared)

@@ -295,6 +295,15 @@ def store_state(store):
             {v: [position[id(c)] for c in cs] for v, cs in store._by_member.items()})
 
 
+def entry_repr(entry) -> str:
+    """An undo-log entry as the golden digests were recorded: an include,
+    now the bare vertex id, in the form of the record it replaced, and
+    every other entry by its repr."""
+    if type(entry) is int:
+        return f"IncludeVertex(v={entry})"
+    return repr(entry)
+
+
 def greedy_reference(g: Graph, rng: random.Random) -> Solution:
     """The min-degree greedy pass through the solution's own methods:
     each pick that is still outside and free goes through
