@@ -18,6 +18,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cut import check_fraction
 from .graph import Graph, GraphFormatError, gc_paused, load
 from .local_search import Budget, PerturbationParams
@@ -42,9 +44,11 @@ def read_metis(path) -> Graph:
     asymmetric entries, and edge-count mismatches all fail with the
     offending line number.
 
-    Every line is parsed and checked in bulk; only a line that fails is
-    scanned token by token, to word its first fault. It runs under
-    :func:`~fastmis.graph.gc_paused`.
+    The comments, the header and the line count are read line by line;
+    the vertex lines are tokenized and checked as whole numpy arrays
+    (:func:`_tokenize`), and Python lists are built only at the end. Only
+    a line that fails is scanned token by token, to word its first fault.
+    It runs under :func:`~fastmis.graph.gc_paused`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -69,33 +73,84 @@ def read_metis(path) -> Graph:
         linenos.pop()
     if len(linenos) != n:
         raise ParseError(f"{path}: expected {n} vertex lines, found {len(linenos)}")
-    to_index = (-1).__add__
-    adjacency: list[list[int]] = []
-    append = adjacency.append
-    for v, lineno in enumerate(linenos):
-        line = lines[lineno - 1]
-        try:
-            nbrs = sorted(map(to_index, map(int, line.split())))
-        except ValueError:   # a bad token
-            nbrs = None
-        if nbrs is None or (nbrs and (nbrs[0] < 0 or nbrs[-1] >= n or v in nbrs
-                                      or len(set(nbrs)) != len(nbrs))):
-            raise ParseError(f"{path}:{lineno}: {_vertex_line_fault(line, v, n)}")
-        append(nbrs)
-    # walking the lists in vertex order fills each reverse list sorted, so
-    # the graph is symmetric exactly when the reverse lists equal the lists
-    reverse: list[list[int]] = [[] for _ in range(n)]
-    for v, nbrs in enumerate(adjacency):
-        for u in nbrs:
-            reverse[u].append(v)
-    if reverse != adjacency:
+    vertex_lines = [lines[i - 1] for i in linenos]
+    owner, values, marked = _tokenize(vertex_lines, n)
+    nbr = values - 1
+    bad = (nbr < 0) | (nbr >= n) | (nbr == owner)
+    first = min(marked[:1] + owner[bad][:1].tolist() + [n])
+    # the lines before the first bad one hold indexes in 1..n only, so the
+    # key line * n + neighbor orders their tokens by line, then neighbor
+    cut = int(np.searchsorted(owner, first))
+    owner, nbr = owner[:cut], nbr[:cut]
+    keys = owner * n + nbr
+    if (keys[1:] < keys[:-1]).any():
+        keys.sort()
+        nbr = keys - owner * n
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    if dup.size:
+        first = min(first, int(owner[dup[0]]))
+    if first < n:
+        raise ParseError(f"{path}:{linenos[first]}: "
+                         f"{_vertex_line_fault(vertex_lines[first], first, n)}")
+    bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    adjacency = [nbr[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    # the graph is symmetric exactly when the keys of the reversed entries,
+    # sorted, equal the keys
+    reverse = nbr * n + owner
+    reverse.sort()
+    if not np.array_equal(reverse, keys):
         v, u = _first_asymmetry(adjacency)
         raise ParseError(f"{path}:{linenos[v]}: vertex {v + 1} lists {u + 1} but not vice versa")
     # symmetric and loop-free lists hold every edge twice
-    total = sum(map(len, adjacency))
+    total = len(keys)
     if total != 2 * m:
         raise ParseError(f"{path}:{header_line}: header claims {m} edges, lines hold {total // 2}")
     return Graph(adjacency)
+
+
+# the bytes of vertex lines that the bulk tokenizer reads: ASCII digits and
+# the whitespace that both str.split and numpy's text reader split on
+_BULK_BYTES = b"0123456789 \t\n\v\f"
+
+
+def _tokenize(vertex_lines: list[str], n: int):
+    """Every token of the vertex lines in file order, as two int64 arrays,
+    its line (0-based vertex) and its value, plus the ascending list of
+    lines that hold a token ``int`` rejects.
+
+    Lines of ASCII digits and whitespace are read in bulk: the values by
+    ``np.fromstring`` and each token's line from its first digit's place
+    among the newlines. Any other character, such as a sign, ``_``, a
+    Unicode digit or space, or a separator in ``\\x1c``-``\\x1f``, sends
+    the lines through ``str.split`` and ``int`` one token at a time.
+    """
+    body = "\n".join(vertex_lines)
+    data = body.encode("utf-8")
+    if not data.translate(None, _BULK_BYTES):
+        text = np.frombuffer(data, dtype=np.uint8)
+        digit = text > ord(" ")   # every other byte left is whitespace
+        starts = np.flatnonzero(digit > np.concatenate(([False], digit[:-1])))
+        owner = np.searchsorted(np.flatnonzero(text == ord("\n")), starts)
+        # a token of 20 digits or more reads as the int64 maximum, still
+        # out of range; with no token at all, fromstring would read a 0
+        values = (np.fromstring(body, dtype=np.int64, sep=" ") if len(starts)
+                  else np.zeros(0, dtype=np.int64))
+        return owner, values, []
+    owners: list[int] = []
+    values: list[int] = []
+    marked: list[int] = []
+    for v, line in enumerate(vertex_lines):
+        for token in line.split():
+            try:
+                u = int(token)
+            except ValueError:
+                marked.append(v)
+                break
+            owners.append(v)
+            # an int64 cannot hold every int: an index outside 1..n reads
+            # as 0, which is outside too
+            values.append(u if 0 < u <= n else 0)
+    return np.array(owners, dtype=np.int64), np.array(values, dtype=np.int64), marked
 
 
 def _vertex_line_fault(line: str, v: int, n: int) -> str:

@@ -126,12 +126,13 @@ class Solution:
 
     ``ones_bound[v]`` bounds from above the number of 1-tight neighbors
     of a solution vertex ``v``. :meth:`insert` sets it to the number of
-    neighbors whose tightness rose to 1, :meth:`remove` adds 1 at the one
-    solution neighbor of each vertex that turned 1-tight, and
-    :func:`greedy_initial` counts as :meth:`insert` does.
-    It is never lowered: only a removal raises the true count after the
-    insertion, and a tightness rising to 2 only lowers it. Outside the
-    solution the entry is stale, and no outcome depends on it.
+    neighbors whose tightness rose to 1 and takes 1 off it when one of
+    them rises to 2; :meth:`remove` adds 1 at the one solution neighbor
+    of each vertex that turned 1-tight. So on a solution built by
+    :meth:`insert` alone the bound is exact. :func:`greedy_initial`
+    counts as :meth:`insert` does but never lowers a bound, which leaves
+    the bounds of its set above the true counts. Outside the solution
+    the entry is stale, and no outcome depends on it.
 
     Best-set tracking keeps, for every vertex moved since the last
     :meth:`mark_best`, its first move since then (+1 in, -1 out): a
@@ -185,8 +186,10 @@ class Solution:
     def insert(self, v: int) -> None:
         """Add a free vertex: ``v`` leaves the free and non-solution
         sets, each neighbor whose tightness rises to 1 leaves the free set
-        and counts towards ``ones_bound[v]``, and ``v`` joins the candidate
-        queue unless it is queued already.
+        and counts towards ``ones_bound[v]``, each one whose tightness
+        rises to 2 takes 1 off the ``ones_bound`` of its other solution
+        neighbor, and ``v`` joins the candidate queue unless it is queued
+        already.
         """
         in_solution = self.in_solution
         if in_solution[v]:
@@ -216,8 +219,10 @@ class Solution:
                 items[i] = last
                 pos[last] = i
             pos[v] = -1
+        adjacency = self.graph.adjacency
+        ones_bound = self.ones_bound
         ones = 0
-        for u in self.graph.adjacency[v]:
+        for u in adjacency[v]:
             t = tightness[u] + 1
             tightness[u] = t
             if t == 1:
@@ -229,7 +234,13 @@ class Solution:
                         items[i] = last
                         pos[last] = i
                     pos[u] = -1
-        self.ones_bound[v] = ones
+            elif t == 2:
+                # u stops being 1-tight at its other solution neighbor
+                for y in adjacency[u]:
+                    if in_solution[y] and y != v:
+                        ones_bound[y] -= 1
+                        break
+        ones_bound[v] = ones
         queued = self._queued
         if not queued[v]:
             queued[v] = True
@@ -329,9 +340,11 @@ def greedy_initial(g: Graph, rng: random.Random) -> Solution:
 
     Each pick is ``rng.randrange(len(bucket))`` drawn inline as the
     standard library draws it (:meth:`Solution.maximalize`). The pass
-    does the work of :meth:`Solution.insert` inline. Nothing leaves the
-    solution during it, so the free set stays empty and is exact at the
-    end, and every insert is queued once.
+    does the work of :meth:`Solution.insert` inline, except that it lowers
+    no ``ones_bound`` when a neighbor turns 2-tight: on pa100k that scan
+    raised the pass's time by about half. Nothing leaves the solution
+    during it, so the free set stays empty and is exact at the end, and
+    every insert is queued once.
     """
     sol = Solution._for_greedy(g, rng)
     items = sol.non_solution.items   # every vertex, before the pass

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from fastmis.cli import (
 from fastmis.graph import load
 from fastmis.metrics import read_log
 
-from util import ba_graph, er_graph, path_graph
+from util import ba_graph, er_graph, path_graph, read_metis_reference
 
 
 P5_METIS = "5 4\n2\n1 3\n2 4\n3 5\n4\n"
@@ -217,6 +218,128 @@ def test_read_metis_reads_back_large_ba_graph(tmp_path):
     back = read_metis(path)
     assert back.adjacency == g.adjacency
     assert back.live_degree == g.live_degree
+
+
+def parse_outcome(parse, path):
+    """The graph ``parse`` reads from ``path``, or the error it raises;
+    a warning fails the parse too."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = parse(path)
+    except (ParseError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return g.n, g.next_id, g.adjacency, g.live_degree, g.alive
+
+
+def assert_parses_as_reference(path):
+    got = parse_outcome(read_metis, path)
+    assert got == parse_outcome(read_metis_reference, path), path.read_bytes()
+    return got
+
+
+def test_read_metis_matches_reference_on_messy_files(tmp_path):
+    rng = random.Random(19)
+    path = tmp_path / "m.metis"
+    for _ in range(40):
+        g = er_graph(rng, rng.randrange(0, 40), rng.uniform(0.0, 0.3))
+        path.write_bytes(messy_metis(g, rng))
+        assert assert_parses_as_reference(path)[2] == g.adjacency
+
+
+def test_read_metis_matches_reference_on_error_contract(tmp_path):
+    path = tmp_path / "bad.metis"
+    for _, text, _ in METIS_ERRORS:
+        path.write_bytes(text.encode("utf-8"))
+        assert_parses_as_reference(path)
+
+
+# gaps between tokens: the bulk tokenizer reads files with the first kind
+# only; one of the second kind sends a file through str.split and int
+BULK_GAPS = (" ", "  ", "\t", "\v", "\f", " \t ")
+OTHER_GAPS = ("\x1c", "\x1f", "\u00a0", "\u2003", "\x85")
+
+
+def mutate_token(token: str, v: int, n: int, rng) -> str:
+    """``token`` spelt another way that ``int`` reads as the same value, a
+    token ``int`` rejects, or an index out of range, a self-loop or any
+    index."""
+    kind = rng.randrange(10)
+    if kind == 0:
+        return str(rng.randrange(10**24, 10**25))          # 25 digits
+    if kind == 1:
+        return "+" + token
+    if kind == 2:
+        return token[0] + "_" + token[1:] if len(token) > 1 else "1_0"
+    if kind == 3:
+        return token.replace("3", "\u0663") if "3" in token else "\u0663"
+    if kind == 4:
+        return "-" + token
+    if kind == 5:
+        return rng.choice(("x", "3x", "0x1", "1.0", "\u00b2", "--2", "1__0"))
+    if kind == 6:
+        return "0" * rng.randrange(1, 3) + token              # leading zeros
+    if kind == 7:
+        return str(v + 1)                                   # self-loop
+    if kind == 8:
+        return str(rng.choice((0, n + 1, 2 ** 63, 2 ** 64 + 1)))
+    return str(rng.randrange(1, n + 1))
+
+
+def faulty_metis(rng) -> bytes:
+    """A random graph in the adjacency format with up to three random
+    faults, each one spelling, token, line or header change, so that
+    faults land before and after each other; some files stay valid."""
+    n = rng.randrange(1, 16)
+    g = er_graph(rng, n, rng.uniform(0.0, 0.5))
+    header = [str(n), str(g.live_edge_count())]
+    rows = [[str(u + 1) for u in g.adjacency[v]] for v in range(n)]
+    for row in rows:
+        if rng.random() < 0.5:
+            rng.shuffle(row)
+    comments = set()
+    for _ in range(rng.randrange(4)):
+        v = rng.randrange(n)
+        row = rows[v]
+        kind = rng.randrange(6)
+        if kind == 0 and row:
+            i = rng.randrange(len(row))
+            row[i] = mutate_token(row[i], v, n, rng)
+        elif kind == 1:
+            token = mutate_token(str(rng.randrange(1, n + 1)), v, n, rng)
+            row.insert(rng.randrange(len(row) + 1), token)
+        elif kind == 2 and row:
+            row.append(rng.choice(row))                   # a duplicate
+        elif kind == 3 and row:
+            del row[rng.randrange(len(row))]              # asymmetric, and one edge short
+        elif kind == 4:
+            header[1] = str(int(header[1]) + rng.choice((-1, 1)))
+        else:
+            comments.add(v)
+    exotic = rng.random() < 0.3
+    lines = [" ".join(header)]
+    for v, row in enumerate(rows):
+        if v in comments:
+            lines.append(rng.choice(("%", "% c", " \t% indented")))
+        gaps = BULK_GAPS + (OTHER_GAPS if exotic else ())
+        lines.append(rng.choice(("", " ")) + "".join(
+            (rng.choice(gaps) if i else "") + token for i, token in enumerate(row))
+            + rng.choice(("", " ", "\t", "\f")))
+    lines += ["", " "][:rng.randrange(3)]
+    eol = rng.choice(("\n", "\r\n", "\r"))
+    return (eol.join(lines) + eol).encode("utf-8")
+
+
+def test_read_metis_matches_reference_on_random_faults(tmp_path):
+    rng = random.Random(29)
+    path = tmp_path / "f.metis"
+    kinds = set()
+    for _ in range(1500):
+        path.write_bytes(faulty_metis(rng))
+        got = assert_parses_as_reference(path)
+        kinds.add(got[1].split(": ", 1)[1].split(" ")[0] if got[0] == "ParseError" else "graph")
+    # every fault of the vertex lines, the edge count and valid files turned up
+    assert kinds >= {"graph", "neighbor", "self-loop", "duplicate", "bad", "vertex", "header"}
 
 
 def test_read_edge_list(tmp_path):

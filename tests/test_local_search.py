@@ -320,6 +320,30 @@ def test_search_keeps_invariants_with_dead_vertices():
             assert is_independent(original, [ids[v] for v in sol.vertices()])
 
 
+def test_ones_bound_is_exact_on_a_solution_built_by_insert():
+    # the greedy pass leaves bounds above the true counts; a solution that
+    # only Solution.insert built keeps every bound exact through the moves
+    rng = random.Random(61)
+    swaps = 0
+    for trial in range(45):
+        kind = trial % 3
+        if kind == 0:
+            g = er_graph(rng, rng.randrange(2, 60), rng.uniform(0.03, 0.3))
+        elif kind == 1:
+            g = ba_graph(rng, rng.randrange(2, 90), attach=(1, 2, 3))
+        else:
+            g = mesh_graph(rng, rng.randrange(2, 10))
+        sol = Solution(g, random.Random(rng.randrange(10**9)))
+        sol.maximalize()
+        for _ in range(20):
+            perturb(sol, PerturbationParams(), sol.rng)
+            swaps += local_search(sol, pair_cap=rng.choice((None, 1)))
+            for v in sol.vertices():
+                ones = sum(1 for u in g.adjacency[v] if sol.tightness[u] == 1)
+                assert sol.ones_bound[v] == ones, (trial, v)
+    assert swaps > 0
+
+
 def search_state(sol):
     """Everything a search iteration writes: the greedy pass's fields,
     plus the eviction clock and the first-move map in insertion order."""

@@ -6,7 +6,8 @@ import copy
 import random
 from itertools import combinations
 
-from fastmis.graph import Graph, load
+from fastmis.cli import ParseError, _first_asymmetry, _vertex_line_fault
+from fastmis.graph import Graph, gc_paused, load
 from fastmis.local_search import Solution, sample_force_count
 
 
@@ -155,6 +156,73 @@ def brute_lp_optima(g: Graph):
         for sol in best:
             assert sol[u] + sol[v] <= 1.0 + 1e-9
     return best_value, best
+
+
+@gc_paused
+def read_metis_reference(path) -> Graph:
+    """``fastmis.cli.read_metis`` as it was before the numpy tokenizer,
+    kept line for line as the reference of the differential parser test.
+
+    Parse the adjacency format: header ``n m [fmt]`` then one
+    1-indexed neighbor line per vertex. ``%`` lines are comments. The
+    parser is strict: indexes out of range, self-loops, duplicate or
+    asymmetric entries, and edge-count mismatches all fail with the
+    offending line number.
+
+    Each line is read with ``str.split`` and ``int`` and checked as a
+    sorted list; only a line that fails is scanned token by token, to word
+    its first fault. Symmetry is checked against reverse lists.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    linenos = [i for i, raw in enumerate(lines, start=1) if not raw.lstrip().startswith("%")]
+    if not linenos:
+        raise ParseError(f"{path}: empty file")
+    header_line = linenos[0]
+    parts = lines[header_line - 1].split()
+    if len(parts) not in (2, 3):
+        raise ParseError(f"{path}:{header_line}: header must be 'n m [fmt]'")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+        fmt = int(parts[2]) if len(parts) == 3 else 0
+    except ValueError as exc:
+        raise ParseError(f"{path}:{header_line}: {exc}") from exc
+    if fmt != 0:
+        raise ParseError(f"{path}:{header_line}: weighted format {fmt} is unsupported")
+    linenos = linenos[1:]
+    while linenos and len(linenos) > n and not lines[linenos[-1] - 1].strip():
+        linenos.pop()
+    if len(linenos) != n:
+        raise ParseError(f"{path}: expected {n} vertex lines, found {len(linenos)}")
+    to_index = (-1).__add__
+    adjacency: list[list[int]] = []
+    append = adjacency.append
+    for v, lineno in enumerate(linenos):
+        line = lines[lineno - 1]
+        try:
+            nbrs = sorted(map(to_index, map(int, line.split())))
+        except ValueError:   # a bad token
+            nbrs = None
+        if nbrs is None or (nbrs and (nbrs[0] < 0 or nbrs[-1] >= n or v in nbrs
+                                      or len(set(nbrs)) != len(nbrs))):
+            raise ParseError(f"{path}:{lineno}: {_vertex_line_fault(line, v, n)}")
+        append(nbrs)
+    # walking the lists in vertex order fills each reverse list sorted, so
+    # the graph is symmetric exactly when the reverse lists equal the lists
+    reverse: list[list[int]] = [[] for _ in range(n)]
+    for v, nbrs in enumerate(adjacency):
+        for u in nbrs:
+            reverse[u].append(v)
+    if reverse != adjacency:
+        v, u = _first_asymmetry(adjacency)
+        raise ParseError(f"{path}:{linenos[v]}: vertex {v + 1} lists {u + 1} but not vice versa")
+    # symmetric and loop-free lists hold every edge twice
+    total = sum(map(len, adjacency))
+    if total != 2 * m:
+        raise ParseError(f"{path}:{header_line}: header claims {m} edges, lines hold {total // 2}")
+    return Graph(adjacency)
 
 
 def is_independent(g: Graph, solution) -> bool:
