@@ -18,8 +18,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cut import check_fraction
 from .graph import Graph, GraphFormatError, gc_paused, load
 from .local_search import Budget, PerturbationParams
@@ -50,6 +48,10 @@ def read_metis(path) -> Graph:
     a line that fails is scanned token by token, to word its first fault.
     It runs under :func:`~fastmis.graph.gc_paused`.
     """
+    # imported here, so that commands which parse no METIS file do not
+    # pay for numpy's import
+    import numpy as np
+
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
@@ -124,6 +126,8 @@ def _tokenize(vertex_lines: list[str], n: int):
     Unicode digit or space, or a separator in ``\\x1c``-``\\x1f``, sends
     the lines through ``str.split`` and ``int`` one token at a time.
     """
+    import numpy as np
+
     body = "\n".join(vertex_lines)
     data = body.encode("utf-8")
     if not data.translate(None, _BULK_BYTES):

@@ -33,8 +33,8 @@ def gc_paused(build):
     On exit, also when ``build`` raises, the wrapper puts back the state
     the caller had: a collector that was already off stays off. A bulk
     build allocates an object per vertex or edge, and every such allocation
-    counts towards the next collection; each collection walks the tracked
-    objects of its generations, and a full one every container in the
+    counts towards the next collection; each collection walks the objects
+    in its generations, and a full one every container in the
     process, other graphs included. So the pause pays most when other large
     graphs are alive while ``build`` runs. Guard only a build that makes no
     reference cycle: reference counting then frees all its garbage, so

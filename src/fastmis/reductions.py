@@ -5,15 +5,13 @@ size, pushing enough bookkeeping onto a :class:`ReductionStack` that any
 independent set of the reduced graph can be mapped back to one of the
 input graph (:func:`lift_solution`). Every rule has the signature
 ``(g, stack) -> int``: the stack carries the undo log and the packing
-constraints. A rule that commits or drops a vertex tells the store only
-while the store tracks some member (``ConstraintStore._by_member``): an
-empty map makes every note a no-op, so skipping it is exact, and the
-pendant and simplicial cascades ahead of any exclusion pay nothing for
-the store. :func:`kernelize` runs an enabled subset of rules to a
-fixpoint, cheapest rules first, and restarts from the first rule after
-any rule fires. It does not rerun a rule that is settled: one of
-:data:`FIXPOINT_RULES` that has run since another rule last fired, and it
-stops once no vertex is alive.
+constraints. Only two rules touch the constraints: the unconfined rule
+adds them, and the packing rule settles them from the undo log before
+it fires them, so no other rule knows they exist. :func:`kernelize`
+runs an enabled subset of rules to a fixpoint, cheapest rules first,
+and restarts from the first rule after any rule fires. It does not
+rerun a rule that is settled: one of :data:`FIXPOINT_RULES` that has
+run since another rule last fired, and it stops once no vertex is alive.
 Pendant, isolated and fold return only at their own fixpoint through
 worklists, and packing through its progress loop. LP does too, by the
 Nemhauser-Trotter argument: it removes the integral part of the optimum
@@ -121,8 +119,8 @@ class ReductionStack:
     ``offset`` is the guaranteed size bonus of lifting: every lifted
     solution has exactly ``len(kernel_solution) + offset`` vertices.
     ``constraints`` is the :class:`ConstraintStore` of packing
-    constraints: the unconfined rule adds them, every rule that removes a
-    vertex notes it there, and the packing rule fires them.
+    constraints: the unconfined rule adds them, and the packing rule
+    settles them from ``entries`` and fires them.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -168,34 +166,50 @@ class ConstraintStore:
 
     A vertex excluded because some optimum avoids it forces one of its
     live neighbors into every optimum of the residual graph. That fact is
-    kept as the set of neighbors that may still satisfy it: an exclusion
-    discards a member, and a set with one member left forces that member
-    in. A member that joins the solution satisfies the constraint, and
-    one that a fold, twin or alternative takes may come back through the
-    undo log on either side, so both empty every set that holds it.
-    Every removal inside :func:`kernelize` notes the store, so a set
-    holds only alive vertices.
+    kept as the set of neighbors that may still satisfy it, all alive
+    when the set is made. No rule tells the store what it removes;
+    :meth:`settle` reads that from the undo log. A member that joined the
+    solution satisfies the constraint, and one that a fold, twin or
+    alternative took may come back through the undo log on either side,
+    so both empty every set that holds it. A member that died otherwise
+    was excluded and only leaves its sets. A settled set with one member
+    left forces that member in.
     """
 
     def __init__(self) -> None:
         self.constraints: list[set[int]] = []
-        self._by_member: dict[int, list[set[int]]] = {}
+        self.cursor = 0   # undo-log entries settled so far
 
     def add_neighbor_constraint(self, neighbors: list[int]) -> None:
-        if not neighbors:
-            return
-        members = set(neighbors)
-        self.constraints.append(members)
-        for v in members:
-            self._by_member.setdefault(v, []).append(members)
+        if neighbors:
+            self.constraints.append(set(neighbors))
 
-    def note_exclude(self, v: int) -> None:
-        for members in self._by_member.pop(v, ()):
-            members.discard(v)
+    def settle(self, entries: list, alive: list[bool]) -> None:
+        """Bring every set up to date with the undo log ``entries`` and the
+        ``alive`` flags.
 
-    def empty_constraints_of(self, *vertices: int) -> None:
-        for v in vertices:
-            for members in self._by_member.pop(v, ()):
+        A set holds only vertices alive when it was made, and no vertex
+        comes back to life, so the entries past the cursor name every
+        member taken since the last settle: an include, the three
+        vertices of a fold, the twins and their shared neighbors, and both
+        sides of an alternative, whose dropped vertices were excluded.
+        """
+        taken: set[int] = set()
+        for entry in entries[self.cursor:]:
+            kind = type(entry)
+            if kind is int:
+                taken.add(entry)
+            elif kind is Fold:
+                taken.update((entry.left, entry.center, entry.right))
+            elif kind is TwinGadget:
+                taken.update((entry.u, entry.v), entry.shared)
+            else:   # Alternative
+                taken.update(entry.a_side, entry.b_side)
+        self.cursor = len(entries)
+        for members in self.constraints:
+            if taken.isdisjoint(members):
+                members.difference_update([v for v in members if not alive[v]])
+            else:
                 members.clear()
 
 
@@ -204,21 +218,11 @@ class ConstraintStore:
 
 
 def _include_vertex(g: Graph, stack: ReductionStack, v: int) -> None:
-    """Commit ``v`` to the solution and drop its closed neighborhood.
-
-    The store is told only while it tracks a member: with ``_by_member``
-    empty, no note changes anything.
-    """
-    store = stack.constraints
-    tracked = store._by_member
+    """Commit ``v`` to the solution and drop its closed neighborhood."""
     stack.push_include(v)
-    if tracked:
-        store.empty_constraints_of(v)
     nbrs = g.neighbors_live(v)
     g.remove_vertex(v)
     for u in nbrs:
-        if tracked:
-            store.note_exclude(u)
         g.remove_vertex(u)
 
 
@@ -234,14 +238,11 @@ def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
     whose degree falls to 1. The lists are sorted, so the queue gets the
     same vertices in the same order as a scan of u's live list after the
     removal would give it. The included ids go straight onto the log and
-    the offset grows once at the end; the store is told only while it
-    tracks a member, as in :func:`_include_vertex`.
+    the offset grows once at the end.
     """
     adjacency = g.adjacency
     alive = g.alive
     live_degree = g.live_degree
-    store = stack.constraints
-    tracked = store._by_member
     push = stack.entries.append
     queue = [v for v in g.alive_vertices() if live_degree[v] == 1]
     count = 0
@@ -253,9 +254,6 @@ def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
             if alive[u]:
                 break
         push(v)
-        if tracked:
-            store.empty_constraints_of(v)
-            store.note_exclude(u)
         alive[v] = False
         alive[u] = False
         live_degree[u] -= 1   # v was its live neighbor
@@ -273,7 +271,7 @@ def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
     """Take simplicial vertices (closed neighborhood a clique), to a fixpoint.
 
     Each fire commits ``v`` and drops its live neighbors in place, as the
-    pendant rule does: the same log entries, store notes and live degrees as
+    pendant rule does: the same log entries and live degrees as
     :func:`_include_vertex`, with no live-list copy. Before that it walks
     the neighbors' lists once to collect their live neighbors, in the
     order a union of their live lists gives, and queues those still alive
@@ -282,8 +280,6 @@ def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
     adjacency = g.adjacency
     alive = g.alive
     live_degree = g.live_degree
-    store = stack.constraints
-    tracked = store._by_member
     push = stack.entries.append
     is_simplicial = g.is_simplicial
     queue = g.alive_vertices()
@@ -297,12 +293,8 @@ def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
         for u in nbrs:
             ring.update([x for x in adjacency[u] if alive[x]])
         push(v)
-        if tracked:
-            store.empty_constraints_of(v)
         alive[v] = False
         for u in nbrs:
-            if tracked:
-                store.note_exclude(u)
             alive[u] = False
             live_degree[u] -= 1   # v was its live neighbor
             for x in adjacency[u]:
@@ -330,7 +322,6 @@ def reduce_fold(g: Graph, stack: ReductionStack) -> int:
         affected = set(g.neighbors_live(u)) | set(g.neighbors_live(w))
         merged = g.contract_fold(v, u, w)
         stack.push_fold(merged, u, v, w)
-        stack.constraints.empty_constraints_of(u, v, w)
         count += 1
         if g.live_degree[merged] == 2:
             queue.append(merged)
@@ -348,7 +339,6 @@ def reduce_unconfined(g: Graph, stack: ReductionStack) -> int:
             continue
         if _is_unconfined(g, v):
             stack.constraints.add_neighbor_constraint(g.neighbors_live(v))
-            stack.constraints.note_exclude(v)
             g.remove_vertex(v)
             count += 1
     return count
@@ -447,7 +437,6 @@ def _apply_twin(g: Graph, stack: ReductionStack, u: int, v: int,
     two_ring.discard(u)
     two_ring.discard(v)
     two_ring.difference_update(shared)
-    stack.constraints.empty_constraints_of(u, v, *shared)
     g.remove_vertex(u)
     g.remove_vertex(v)
     for x in shared:
@@ -474,11 +463,9 @@ def _apply_funnels(g: Graph, stack: ReductionStack) -> int:
         common = sorted(set(g.neighbors_live(u)) & set(g.neighbors_live(v)))
         a_out = [x for x in g.neighbors_live(u) if x != v and x not in common]
         b_out = [x for x in g.neighbors_live(v) if x != u and x not in common]
-        stack.constraints.empty_constraints_of(u, v)
         g.remove_vertex(u)
         g.remove_vertex(v)
         for x in common:
-            stack.constraints.note_exclude(x)
             g.remove_vertex(x)
         crosses = []
         for a in a_out:
@@ -576,7 +563,6 @@ def _fire_four_cycle(g, stack, a1, a2, b1, b2) -> bool:
         return False
     if set(a_out) & set(b_out):
         return False   # shared outside neighborhood disqualifies the pattern
-    stack.constraints.empty_constraints_of(*a_set, *b_set)
     for x in a_set + b_set:
         g.remove_vertex(x)
     crosses = []
@@ -927,22 +913,26 @@ def reduce_packing_k0(g: Graph, stack: ReductionStack) -> int:
     """Take the last member of every constraint that has one left, to a
     fixpoint.
 
-    Each pass fires the constraints that had one member at its start, in
-    the order they were made; a fire may empty a later one, which then
-    takes nothing and counts nothing. A set holds only alive vertices
-    (see :class:`ConstraintStore`), and one member has no inner edge.
+    Each pass first settles the store from the undo log
+    (:meth:`ConstraintStore.settle`), then fires the constraints that
+    have one member, in the order they were made. A fire may take or drop
+    the member of a later one, which then takes nothing and counts
+    nothing; one member has no inner edge.
     """
-    constraints = stack.constraints.constraints
+    store = stack.constraints
+    alive = g.alive
     count = 0
     progress = True
     while progress:
         progress = False
-        for members in [c for c in constraints if len(c) == 1]:
-            if members:
+        store.settle(stack.entries, alive)
+        for members in store.constraints:
+            if len(members) == 1:
                 [v] = members
-                _include_vertex(g, stack, v)
-                count += 1
-                progress = True
+                if alive[v]:
+                    _include_vertex(g, stack, v)
+                    count += 1
+                    progress = True
     return count
 
 
@@ -958,8 +948,9 @@ def kernelize(g: Graph, rules=ALL_RULES) -> KernelResult:
     is skipped: rerun on the same graph it would return 0 and change
     nothing, so the kernel is the one a full rescan gives. The loop also
     stops once no vertex is alive: every rule returns 0 on an empty graph
-    and changes neither the undo log nor the store, whose constraints have
-    all lost their last member by then.
+    and adds nothing to the undo log. The packing constraints are left as
+    the last packing pass settled them; a settle on the empty graph would
+    empty them all.
     """
     enabled = frozenset(rules)
     unknown = enabled - ALL_RULES

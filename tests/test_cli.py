@@ -445,14 +445,19 @@ def test_solve_requires_budget(tmp_path):
     assert main(["solve", "--algo", "arw", "--graph", graph]) == 2
 
 
-def run_module(*args, module="fastmis"):
-    """``python -m MODULE ARGS`` in a subprocess, with this package first
-    on the import path."""
+def run_python(*args):
+    """``python ARGS`` in a subprocess, with this package first on the
+    import path."""
     env = dict(os.environ)
     src = str(Path(fastmis.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", module, *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=60, env=env)
+
+
+def run_module(*args, module="fastmis"):
+    """``python -m MODULE ARGS`` in a subprocess, as :func:`run_python`."""
+    return run_python("-m", module, *args)
 
 
 @pytest.mark.parametrize("module", ["fastmis", "fastmis.cli"])
@@ -469,6 +474,26 @@ def test_python_m_solves(tmp_path, module):
     result = run_module("verify", "--graph", graph, "--solution", out, module=module)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("independent size=3 ")
+
+
+@pytest.mark.parametrize("fmt, text, numpy_after", [
+    ("edges", "0 1\n1 2\n2 3\n3 4\n", False),
+    ("metis", P5_METIS, True),
+])
+def test_cli_imports_numpy_only_to_parse_metis(tmp_path, fmt, text, numpy_after):
+    # a fresh process pays more for numpy's import than a small parse
+    # saves, so only the METIS parser imports it
+    graph = write(tmp_path / f"p5.{fmt}", text)
+    solution = write(tmp_path / "p5.sol", "0\n2\n4\n")
+    probe = ("import sys; import fastmis.cli; imported = 'numpy' in sys.modules; "
+             "code = fastmis.cli.main(sys.argv[1:]); "
+             "print(imported, 'numpy' in sys.modules); sys.exit(code)")
+    result = run_python("-c", probe, "verify", "--graph", graph, "--format", fmt,
+                        "--solution", solution)
+    assert result.returncode == 0, result.stderr
+    report, modules = result.stdout.splitlines()
+    assert report.startswith("independent size=3 ")
+    assert modules == f"False {numpy_after}"
 
 
 @pytest.mark.parametrize("limit", [

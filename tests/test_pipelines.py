@@ -5,12 +5,13 @@ import time
 import pytest
 
 from fastmis import pipelines
+from fastmis.cli import verify
 from fastmis.cut import cut_snapshot_top
 from fastmis.local_search import Budget, perturb
 from fastmis.metrics import ConvergenceLog
 from fastmis.oracle import exact_mis
 from fastmis.pipelines import ker_mis, online_mis, plain_arw
-from fastmis.reductions import ONLINE_RULES, kernelize
+from fastmis.reductions import KERMIS_RULES, ONLINE_RULES, kernelize, lp_relaxation_values
 
 from util import (
     ba_graph,
@@ -205,6 +206,34 @@ def test_pipelines_do_not_mutate_input():
     plain_arw(g, Budget(iterations=20), random.Random(1))
     assert g.edges() == edges_before
     assert g.alive_count() == 20
+
+
+@pytest.mark.parametrize("build, empties", [
+    (lambda: ba_graph(random.Random(71), 10_000, attach=(1, 2, 4, 8)), True),
+    (lambda: gnm_graph(random.Random(72), 10_000, 25_000), False),
+    (lambda: mesh_graph(random.Random(73), 100), False),
+], ids=["ba10k", "gnm10k", "mesh10k"])
+def test_pipeline_results_are_certified_at_scale(build, empties):
+    # no oracle reaches 10^4 vertices; the exact rules give the optimum
+    # as the kernel offset plus the kernel's optimum, and the kernel's LP
+    # relaxation bounds the latter
+    g = build()
+    kernel = g.copy()
+    stack = kernelize(kernel, rules=KERMIS_RULES).stack
+    bound = stack.offset + sum(lp_relaxation_values(kernel).values())
+    assert (kernel.alive_count() == 0) == empties
+    budget = Budget(iterations=1000)
+    results = {
+        "onlinemis": online_mis(g, 0.01, budget, random.Random(1)),
+        "kermis": ker_mis(g, 0.01, budget, random.Random(1)),
+        "arw": plain_arw(g, budget, random.Random(1)),
+    }
+    for name, best in results.items():
+        report = verify(g, best)
+        assert report.ok, (name, report.violations[:3], report.invalid_ids[:3])
+        assert report.size <= bound, (name, report.size, bound)
+    if empties:
+        assert len(results["kermis"]) == stack.offset
 
 
 def test_search_stops_once_nothing_can_enter(monkeypatch):

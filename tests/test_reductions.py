@@ -44,7 +44,6 @@ from util import (
     entry_repr,
     er_graph,
     gnm_graph,
-    include_reference,
     is_independent,
     isolated_reference,
     mesh_graph,
@@ -54,6 +53,7 @@ from util import (
     random_tree,
     star_graph,
     store_state,
+    taken_in_log,
     unconfined_reference,
 )
 
@@ -115,60 +115,29 @@ def reference_graphs(seed):
     return graphs
 
 
-def add_neighbor_constraints(g, stack):
-    """A constraint over the live neighbors of every fifth alive vertex."""
-    for v in g.alive_vertices()[::5]:
-        stack.constraints.add_neighbor_constraint(g.neighbors_live(v))
-
-
-# how a stack is filled before a rule runs on it: empty, with the
-# constraints of the unconfined rule's exclusions, or with constraints
-# added straight to the store
-PREPARE = {
-    "unconfined": reduce_unconfined,
-    "constraints": add_neighbor_constraints,
-}
-
-
-def assert_rule_matches_reference(rule, reference, graphs, prepare=None):
+def assert_rule_matches_reference(rule, reference, graphs):
     """Run ``rule`` and ``reference`` on equal copies of each graph and
-    stack, and compare the counts, undo logs, offsets, flags, live
-    degrees and stores. Returns the fires, and the runs that changed a
-    store."""
-    fired = touched = 0
+    stack, and compare the counts, undo logs, offsets, flags and live
+    degrees. Returns the fires."""
+    fired = 0
     for g in graphs:
         ref = g.copy()
         stack, ref_stack = ReductionStack(g), ReductionStack(ref)
-        if prepare is not None:
-            prepare(g, stack)
-            prepare(ref, ref_stack)
-        before = store_state(stack.constraints)
         count = rule(g, stack)
         assert count == reference(ref, ref_stack)
         assert repr(stack.entries) == repr(ref_stack.entries)
         assert stack.offset == ref_stack.offset
         assert g.alive == ref.alive
         assert g.live_degree == ref.live_degree
-        assert store_state(stack.constraints) == store_state(ref_stack.constraints)
         g.validate()
         fired += count
-        touched += store_state(stack.constraints) != before
-    return fired, touched
+    return fired
 
 
 def test_pendant_matches_copying_reference():
-    fired, _ = assert_rule_matches_reference(reduce_pendant, pendant_reference,
-                                             reference_graphs(71))
+    fired = assert_rule_matches_reference(reduce_pendant, pendant_reference,
+                                          reference_graphs(71))
     assert fired > 500
-
-
-@pytest.mark.parametrize("prepare", sorted(PREPARE))
-def test_pendant_matches_copying_reference_with_constraints(prepare):
-    # the rule skips the store while it tracks no member; with members
-    # tracked, every note must still reach it
-    fired, touched = assert_rule_matches_reference(
-        reduce_pendant, pendant_reference, reference_graphs(81), PREPARE[prepare])
-    assert fired > 100 and touched >= 5
 
 
 # ----------------------------------------------------------------------
@@ -205,38 +174,9 @@ def test_isolated_p3_center_not_simplicial():
 
 
 def test_isolated_matches_copying_reference():
-    fired, _ = assert_rule_matches_reference(reduce_isolated, isolated_reference,
-                                             reference_graphs(91))
+    fired = assert_rule_matches_reference(reduce_isolated, isolated_reference,
+                                          reference_graphs(91))
     assert fired > 1000
-
-
-@pytest.mark.parametrize("prepare", sorted(PREPARE))
-def test_isolated_matches_copying_reference_with_constraints(prepare):
-    fired, touched = assert_rule_matches_reference(
-        reduce_isolated, isolated_reference, reference_graphs(101), PREPARE[prepare])
-    assert fired > 1000 and touched >= 10
-
-
-def include_until_empty(include):
-    """A rule that commits random alive vertices through ``include`` until
-    none is left, drawing from an rng seeded by the graph."""
-    def rule(g, stack):
-        rng = random.Random(g.n)
-        count = 0
-        while g.alive_count():
-            include(g, stack, rng.choice(g.alive_vertices()))
-            count += 1
-        return count
-    return rule
-
-
-def test_include_vertex_matches_reference_with_constraints():
-    # LP, twin, packing and alternative commit through _include_vertex,
-    # which skips the store while it tracks no member
-    _, touched = assert_rule_matches_reference(
-        include_until_empty(_include_vertex), include_until_empty(include_reference),
-        reference_graphs(111), add_neighbor_constraints)
-    assert touched >= 10
 
 
 def test_include_fires_allocate_no_tracked_object():
@@ -557,7 +497,6 @@ def test_packing_zero_bound_fires():
     stack = ReductionStack(g)
     store = stack.constraints
     store.add_neighbor_constraint([0, 1])
-    store.note_exclude(1)
     g.remove_vertex(1)
     assert reduce_packing_k0(g, stack) == 1
     assert g.alive_vertices() == [3]
@@ -575,34 +514,38 @@ def test_packing_positive_bound_no_action():
 
 
 def test_packing_counts_only_real_fires():
-    # on K3 the unconfined rule leaves {2} twice; the first fire takes 2
-    # and empties the second, which takes nothing
+    # on K3 the unconfined rule excludes 0, then 1; settled, both sets
+    # are {2}, and the first fire takes 2, so the second takes nothing
     g = complete_graph(3)
     stack = ReductionStack(g)
     assert reduce_unconfined(g, stack) == 2
-    assert stack.constraints.constraints == [{2}, {2}]
+    assert stack.constraints.constraints == [{1, 2}, {2}]
     assert reduce_packing_k0(g, stack) == 1
     assert stack.offset == 1 and g.alive_count() == 0
     assert stack.constraints.constraints == [set(), set()]
 
 
 def test_packing_maintenance_via_exclusions():
+    # an exclusion leaves no log entry: the settle drops the dead members
     store = ConstraintStore()
     store.add_neighbor_constraint([0, 1, 2])
-    store.note_exclude(0)
-    store.note_exclude(1)
+    store.settle([], [False, False, True])
     assert store.constraints == [{2}]
 
 
 def test_packing_include_empties_a_constraint():
-    # P4: taking 0 satisfies {0, 2}; dropping its neighbor 1 shrinks {1, 3}
+    # P4: taking 0 satisfies {0, 2}; dropping its neighbor 1 shrinks
+    # {1, 3}; the store learns both at the settle, not before
     g = path_graph(4)
     stack = ReductionStack(g)
     store = stack.constraints
     store.add_neighbor_constraint([0, 2])
     store.add_neighbor_constraint([1, 3])
     _include_vertex(g, stack, 0)
+    assert store.constraints == [{0, 2}, {1, 3}]
+    store.settle(stack.entries, g.alive)
     assert store.constraints == [set(), {3}]
+    assert store.cursor == 1
 
 
 def test_packing_opaque_retires():
@@ -612,8 +555,28 @@ def test_packing_opaque_retires():
     store = stack.constraints
     store.add_neighbor_constraint([0, 2])
     assert reduce_fold(g, stack) == 1
+    store.settle(stack.entries, g.alive)
     assert store.constraints == [set()]
-    assert store._by_member == {}
+
+
+@pytest.mark.parametrize("rule,edges,n,left", [
+    # two funnels take 1 and 0, then 3 and 2; the second drops 4
+    (reduce_alternative, [(1, 0), (1, 2), (1, 3), (2, 3), (0, 4)], 5,
+     [[], [], [], [], [5]]),
+    # the twins 0 and 1 over the independent {3, 4, 5} become a gadget
+    (reduce_twin, complete_bipartite(3, 3).edges(), 6,
+     [[], [], [2, 6], [], [], []]),
+], ids=["alternative", "twin"])
+def test_settle_empties_the_sets_of_taken_vertices(rule, edges, n, left):
+    # the set {x, n} per vertex x < n, where n stays isolated and alive
+    g = load(edges, n + 1)
+    stack = ReductionStack(g)
+    store = stack.constraints
+    for x in range(n):
+        store.add_neighbor_constraint([x, n])
+    assert rule(g, stack) > 0
+    store.settle(stack.entries, g.alive)
+    assert store_state(store) == left
 
 
 def test_packing_enabled_sweep_preserves_optimum():
@@ -735,6 +698,37 @@ def test_packing_sequences_golden():
     assert h.hexdigest()[:16] == GOLDEN_PACKING_DIGEST
 
 
+def test_settle_matches_a_recount_of_the_whole_log():
+    # after every packing call, a set is empty if the log took any of
+    # the members it was made with, and otherwise holds those still
+    # alive; sets are copied as the unconfined rule makes them
+    rng = random.Random(7)
+    graphs = [er_graph(rng, rng.randrange(2, 30), rng.uniform(0.05, 0.5))
+              for _ in range(600)]
+    graphs += [mesh_graph(random.Random(seed), 12) for seed in (8, 9, 10)]
+    graphs += [ba_graph(random.Random(seed), 300, attach=(1, 2, 4))
+               for seed in (11, 12, 13)]
+    emptied = shrunk = 0
+    for g in graphs:
+        stack = ReductionStack(g)
+        store = stack.constraints
+        made: list[set[int]] = []
+        for _ in range(10):
+            name = rng.choice(RULE_ORDER)
+            RULE_FUNCTIONS[name](g, stack)
+            made += [set(c) for c in store.constraints[len(made):]]
+            if name != "packing":
+                continue
+            taken = taken_in_log(stack.entries)
+            expected = [[] if members & taken else sorted(v for v in members if g.alive[v])
+                        for members in made]
+            assert store_state(store) == expected
+            emptied += sum(1 for members in made if members & taken)
+            shrunk += sum(1 for members, now in zip(made, expected)
+                          if now and len(now) < len(members))
+    assert emptied > 200 and shrunk > 50, (emptied, shrunk)
+
+
 def test_kernelize_runs_settled_lp_once(monkeypatch):
     # K(3,5) leaves to LP alone, which takes its larger side; the Petersen
     # graph is reduced by no KERMIS rule, so nothing fires after LP
@@ -769,22 +763,24 @@ def test_kernelize_stops_once_the_graph_is_empty(monkeypatch, rules):
     graphs = [random_tree(rng, rng.randrange(1, 200)) for _ in range(6)]
     graphs += [ba_graph(random.Random(seed), n, attach=(1, 2, 4, 8))
                for n in (40, 80, 150) for seed in (1, 2, 3, 4)]
-    tracked = 0
+    with_constraints = 0
     for g in graphs:
         calls.clear()
         result = kernelize(g, rules=rules)
         assert result.reduced_n == 0
         assert calls and all(alive for _, alive in calls), calls
         # each rule finds nothing on the emptied graph and leaves the
-        # undo log and the store as they are
+        # undo log, the offset and the alive flags as they are
         stack = result.stack
-        state = (repr(stack.entries), stack.offset, store_state(stack.constraints))
+        state = (repr(stack.entries), stack.offset, g.alive[:])
         for name, rule in RULE_FUNCTIONS.items():
             assert rule(g, stack) == 0, name
-            assert (repr(stack.entries), stack.offset,
-                    store_state(stack.constraints)) == state, name
-        tracked += bool(stack.constraints.constraints)
-    assert tracked >= 2   # unconfined fired, so the packing check has constraints
+            assert (repr(stack.entries), stack.offset, g.alive) == state, name
+        # no member is alive, so a settle empties every set
+        stack.constraints.settle(stack.entries, g.alive)
+        assert not any(stack.constraints.constraints)
+        with_constraints += bool(stack.constraints.constraints)
+    assert with_constraints >= 2   # unconfined fired, so the packing check has constraints
 
 
 def test_kernelize_rejects_unknown_rule():

@@ -9,6 +9,7 @@ from itertools import combinations
 from fastmis.cli import ParseError, _first_asymmetry, _vertex_line_fault
 from fastmis.graph import Graph, gc_paused, load
 from fastmis.local_search import Solution, sample_force_count
+from fastmis.reductions import Alternative, Fold, TwinGadget
 
 
 def path_graph(n: int) -> Graph:
@@ -298,7 +299,6 @@ def pendant_reference(g: Graph, stack) -> int:
     neighbors of ``u``, commits ``v``, drops ``u`` through
     :meth:`Graph.remove_vertex`, and queues those of the listed vertices
     whose degree fell to 1."""
-    store = stack.constraints
     queue = [v for v in g.alive_vertices() if g.live_degree[v] == 1]
     count = 0
     while queue:
@@ -308,9 +308,7 @@ def pendant_reference(g: Graph, stack) -> int:
         [u] = g.neighbors_live(v)
         second_ring = [x for x in g.neighbors_live(u) if x != v]
         stack.push_include(v)
-        store.empty_constraints_of(v)
         g.remove_vertex(v)
-        store.note_exclude(u)
         g.remove_vertex(u)
         count += 1
         for x in second_ring:
@@ -321,15 +319,11 @@ def pendant_reference(g: Graph, stack) -> int:
 
 def include_reference(g: Graph, stack, v: int) -> None:
     """Commit ``v`` and drop its live neighbors method by method: the
-    stack's push, a store note and :meth:`Graph.remove_vertex` for each
-    vertex, whether or not the store tracks it."""
-    store = stack.constraints
+    stack's push and :meth:`Graph.remove_vertex` for each vertex."""
     stack.push_include(v)
-    store.empty_constraints_of(v)
     nbrs = g.neighbors_live(v)
     g.remove_vertex(v)
     for u in nbrs:
-        store.note_exclude(u)
         g.remove_vertex(u)
 
 
@@ -356,11 +350,26 @@ def isolated_reference(g: Graph, stack) -> int:
 
 
 def store_state(store):
-    """Every constraint as its sorted members, and the member map with
-    each constraint named by its position in the list."""
-    position = {id(c): i for i, c in enumerate(store.constraints)}
-    return ([sorted(c) for c in store.constraints],
-            {v: [position[id(c)] for c in cs] for v, cs in store._by_member.items()})
+    """Every constraint as its sorted members."""
+    return [sorted(c) for c in store.constraints]
+
+
+def taken_in_log(entries) -> set[int]:
+    """Every vertex an undo log took: each include, the three vertices of
+    a fold, the twins of a gadget and their shared neighbors, and both
+    sides of an alternative, but not the vertices it dropped."""
+    taken = set()
+    for entry in entries:
+        if isinstance(entry, int):
+            taken.add(entry)
+        elif isinstance(entry, Fold):
+            taken |= {entry.left, entry.center, entry.right}
+        elif isinstance(entry, TwinGadget):
+            taken |= {entry.u, entry.v, *entry.shared}
+        else:
+            assert isinstance(entry, Alternative), entry
+            taken |= {*entry.a_side, *entry.b_side}
+    return taken
 
 
 def entry_repr(entry) -> str:
