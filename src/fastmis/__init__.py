@@ -9,7 +9,6 @@ from .cut import cut_relative, cut_snapshot_top
 from .graph import Graph, GraphFormatError, load
 from .local_search import (
     Budget,
-    PerturbationParams,
     Solution,
     find_one_two_swap,
     greedy_initial,
@@ -41,7 +40,6 @@ __all__ = [
     "KERMIS_RULES",
     "KernelResult",
     "ONLINE_RULES",
-    "PerturbationParams",
     "ReductionStack",
     "Solution",
     "cut_relative",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .cut import check_fraction
 from .graph import Graph, GraphFormatError, gc_paused, load
-from .local_search import Budget, PerturbationParams
+from .local_search import Budget
 from .metrics import ConvergenceLog, max_speedup, read_log, time_to_size, write_log
 from .pipelines import ker_mis, online_mis, plain_arw
 from .reductions import ALL_RULES, KERMIS_RULES, KernelResult, kernelize, lift_solution
@@ -315,7 +315,6 @@ def _cmd_solve(args) -> int:
         budget = Budget(seconds=args.time_limit, iterations=args.iterations)
     if args.algo in ("onlinemis", "kermis"):
         check_fraction(args.cut_fraction)
-    params = PerturbationParams(pair_cap=args.pair_cap)
     g = read_graph(args.graph, args.format, args.n)
     rng = random.Random(args.seed)
     instance = args.graph.rsplit("/", 1)[-1]
@@ -329,11 +328,11 @@ def _cmd_solve(args) -> int:
         log.append(time.perf_counter() - start, len(solution))
         _print_kernel_stats(result)
     elif args.algo == "onlinemis":
-        solution = online_mis(g, args.cut_fraction, budget, rng, log, params)
+        solution = online_mis(g, args.cut_fraction, budget, rng, log)
     elif args.algo == "kermis":
-        solution = ker_mis(g, args.cut_fraction, budget, rng, log, params)
+        solution = ker_mis(g, args.cut_fraction, budget, rng, log)
     else:
-        solution = plain_arw(g, budget, rng, log, params)
+        solution = plain_arw(g, budget, rng, log)
 
     report = verify(g, solution)
     if not report.ok:
@@ -414,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     stop.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     stop.add_argument("--iterations", type=int, default=None)
     solve.add_argument("--cut-fraction", type=float, default=0.01)
-    solve.add_argument("--pair-cap", type=int, default=100)
     solve.add_argument("--log", default=None, help="write the convergence CSV here")
     solve.add_argument("--solution", default=None, help="write vertex ids here")
     solve.set_defaults(func=_cmd_solve)

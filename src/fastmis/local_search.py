@@ -7,6 +7,10 @@ and queues candidates so no vertex is re-examined for a (1,2)-swap until
 its neighborhood changes. One search iteration is a forced perturbation
 followed by swap-based local search.
 
+The search takes no settings: every random draw comes from
+``Solution.rng``, and its three bounds are the module constants
+:data:`CANDIDATE_POOL`, :data:`PAIR_CAP` and :data:`MAX_FORCE`.
+
 A (1,2)-swap at ``v`` needs two 1-tight neighbors of ``v``. Each
 solution vertex keeps ``ones_bound``, an upper bound on how many
 neighbors are 1-tight, and :func:`local_search` skips a candidate whose
@@ -36,23 +40,13 @@ from .graph import Graph
 from .metrics import ConvergenceLog
 
 
-@dataclass(frozen=True)
-class PerturbationParams:
-    """Knobs of the diversification step.
-
-    candidate_pool: random non-solution vertices considered per forced
-    insertion (the oldest-outside one wins). pair_cap: maximum valid
-    swap pairs examined per target vertex; None removes the cap.
-    """
-
-    candidate_pool: int = 4
-    pair_cap: int | None = 100
-
-    def __post_init__(self) -> None:
-        if self.candidate_pool < 1:
-            raise ValueError("candidate_pool must be at least 1")
-        if self.pair_cap is not None and self.pair_cap < 1:
-            raise ValueError("pair_cap must be at least 1")
+# a forced insertion takes the longest-outside of CANDIDATE_POOL random
+# non-solution vertices; run_iterated's swap scan examines at most
+# PAIR_CAP pairs per target; a perturbation forces at most MAX_FORCE
+# vertices
+CANDIDATE_POOL = 4
+PAIR_CAP = 100
+MAX_FORCE = 32
 
 
 @dataclass(frozen=True)
@@ -462,35 +456,36 @@ def local_search(sol: Solution, pair_cap: int | None = None) -> int:
     return swaps
 
 
-def sample_force_count(rng: random.Random, max_force: int = 32) -> int:
+def sample_force_count(rng: random.Random) -> int:
     """Perturbation width: 1 with probability 1/2, halving upward.
 
-    P(f = k) = 2**-k for k below the cap; the leftover mass lands on the
-    cap so the draw always terminates.
+    P(f = k) = 2**-k for k below :data:`MAX_FORCE`; the leftover mass
+    lands on the cap so the draw always terminates.
     """
     f = 1
-    while f < max_force and rng.random() < 0.5:
+    while f < MAX_FORCE and rng.random() < 0.5:
         f += 1
     return f
 
 
-def perturb(sol: Solution, params: PerturbationParams, rng: random.Random) -> None:
+def perturb(sol: Solution) -> None:
     """Force vertices into the solution, favoring the longest-outside ones.
 
     Each forced vertex evicts its solution neighbors first; the solution
-    is re-maximalized at the end. Candidates are drawn as
-    ``rng.randrange(len(non_solution))``, inline; the earliest ``last_out``
+    is re-maximalized at the end. Each forced vertex is the best of
+    :data:`CANDIDATE_POOL` candidates, each drawn from ``sol.rng`` as
+    ``randrange(len(non_solution))``, inline; the earliest ``last_out``
     wins, ties to the lower id. With nothing outside the solution there
     is nothing to force, and the call returns before any draw.
     """
     items = sol.non_solution.items
     if not items:
         return
+    rng = sol.rng
     force = sample_force_count(rng)
     adjacency = sol.graph.adjacency
     in_solution = sol.in_solution
     last_out = sol.last_out
-    pool = params.candidate_pool
     getrandbits = rng.getrandbits
     remove = sol.remove
     insert = sol.insert
@@ -501,7 +496,7 @@ def perturb(sol: Solution, params: PerturbationParams, rng: random.Random) -> No
         k = n.bit_length()
         pick = -1
         pick_out = 0
-        for _ in range(pool):
+        for _ in range(CANDIDATE_POOL):
             r = getrandbits(k)
             while r >= n:
                 r = getrandbits(k)
@@ -518,9 +513,11 @@ def perturb(sol: Solution, params: PerturbationParams, rng: random.Random) -> No
 
 
 def run_iterated(g: Graph, sol: Solution, budget: Budget, log: ConvergenceLog,
-                 rng: random.Random, params: PerturbationParams | None = None,
                  size_offset: int = 0, start_time: float | None = None) -> set[int]:
     """Alternate perturbation and local search until the budget expires.
+
+    Every draw comes from ``sol.rng``, and the swap scan is capped at
+    :data:`PAIR_CAP` pairs per target.
 
     Returns the best solution seen as a vertex-id set and appends one
     (elapsed, size) point per strict improvement, with ``size_offset``
@@ -530,8 +527,6 @@ def run_iterated(g: Graph, sol: Solution, budget: Budget, log: ConvergenceLog,
     """
     if sol.graph is not g:
         raise ValueError("solution was built for a different graph")
-    if params is None:
-        params = PerturbationParams()
     start = time.perf_counter() if start_time is None else start_time
 
     def now(iteration: int) -> float:
@@ -549,8 +544,8 @@ def run_iterated(g: Graph, sol: Solution, budget: Budget, log: ConvergenceLog,
         if len(sol.non_solution) == 0:
             break
         iteration += 1
-        perturb(sol, params, rng)
-        local_search(sol, params.pair_cap)
+        perturb(sol)
+        local_search(sol, PAIR_CAP)
         if sol.size > best_size:
             best_size = sol.size
             sol.mark_best()

@@ -4,6 +4,9 @@ The two reducing pipelines run their rules and cut on a copy of the
 input graph. All three pipelines end in :func:`_search_residual`, which
 searches the residual graph (the input itself for ``plain_arw``: the
 search never writes it) and lifts the best set to original vertex ids.
+A pipeline's one ``rng`` drives its cut, its greedy start and, as the
+solution's own rng, every draw of the search; the search takes no other
+setting.
 
 Where ``onlinemis`` departs from the paper: the paper commits a vertex
 whose degree-<=2 closed neighborhood is a clique whenever the greedy
@@ -19,14 +22,13 @@ import time
 
 from .cut import check_fraction, cut_relative, cut_snapshot_top
 from .graph import Graph
-from .local_search import Budget, PerturbationParams, greedy_initial, run_iterated
+from .local_search import Budget, greedy_initial, run_iterated
 from .metrics import ConvergenceLog
 from .reductions import KERMIS_RULES, ONLINE_RULES, ReductionStack, kernelize, lift_solution
 
 
 def online_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random,
-               log: ConvergenceLog | None = None,
-               params: PerturbationParams | None = None) -> set[int]:
+               log: ConvergenceLog | None = None) -> set[int]:
     """Cut the top snapshot-degree slice, reduce to a fixpoint, search.
 
     After the cut, the pendant and simplicial rules run to a fixpoint
@@ -40,12 +42,11 @@ def online_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random
     work = g.copy()
     cut_snapshot_top(work, cut_fraction, rng)
     stack = kernelize(work, rules=ONLINE_RULES).stack
-    return _search_residual(work, stack, budget, rng, log, params, start)
+    return _search_residual(work, stack, budget, rng, log, start)
 
 
 def ker_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random,
-            log: ConvergenceLog | None = None,
-            params: PerturbationParams | None = None) -> set[int]:
+            log: ConvergenceLog | None = None) -> set[int]:
     """Kernelize with the advanced rule set, cut, search, lift.
 
     The degree-restricted clique rule stays out of the rule set here;
@@ -59,12 +60,12 @@ def ker_mis(g: Graph, cut_fraction: float, budget: Budget, rng: random.Random,
     work = g.copy()
     stack = kernelize(work, rules=KERMIS_RULES).stack
     cut_relative(work, cut_fraction, rng)
-    return _search_residual(work, stack, budget, rng, log, params, start)
+    return _search_residual(work, stack, budget, rng, log, start)
 
 
 def _search_residual(work: Graph, stack: ReductionStack, budget: Budget,
                      rng: random.Random, log: ConvergenceLog | None,
-                     params: PerturbationParams | None, start: float) -> set[int]:
+                     start: float) -> set[int]:
     """Search the residual graph ``work`` and lift the best set through
     ``stack``; an empty residual graph skips the search. One with a dead
     vertex is searched as :meth:`Graph.compact` renumbers it, which
@@ -79,14 +80,13 @@ def _search_residual(work: Graph, stack: ReductionStack, budget: Budget,
         return lifted
     search, ids = work.compact() if live < work.next_id else (work, None)
     sol = greedy_initial(search, rng)
-    best = run_iterated(search, sol, budget, log, rng, params,
+    best = run_iterated(search, sol, budget, log,
                         size_offset=stack.offset, start_time=start)
     return lift_solution(stack, best if ids is None else {ids[v] for v in best})
 
 
 def plain_arw(g: Graph, budget: Budget, rng: random.Random,
-              log: ConvergenceLog | None = None,
-              params: PerturbationParams | None = None) -> set[int]:
+              log: ConvergenceLog | None = None) -> set[int]:
     """Baseline: greedy start plus iterated local search, untouched graph."""
     start = time.perf_counter()
-    return _search_residual(g, ReductionStack(g), budget, rng, log, params, start)
+    return _search_residual(g, ReductionStack(g), budget, rng, log, start)

@@ -27,11 +27,12 @@ the undo log, the kernel's alive set and its edge list to enforce that.
 The undo log records an include as the bare vertex id, an ``int``, so
 the tens of thousands of includes of a hub graph allocate no object the
 cyclic collector tracks; folds, twin gadgets and alternatives push
-records. The pendant and simplicial rules fire in place, lowering live
-degrees inline and appending their ids straight onto the log, and the
-expensive scans (LP, unconfined, simplicial, alternative) walk the
-adjacency lists in place instead of copying live neighbor lists. Every
-rule reads live degrees, which every removal keeps exact.
+records. Includes walk the adjacency lists in place and lower live
+degrees inline, the pendant rule's in its own loop and every other one
+in :func:`_include_vertex`, and the expensive scans (LP, unconfined,
+simplicial, alternative) walk them in place too instead of copying live
+neighbor lists. Every rule reads live degrees, which every removal keeps
+exact.
 
 Rule catalogue
 --------------
@@ -218,12 +219,24 @@ class ConstraintStore:
 
 
 def _include_vertex(g: Graph, stack: ReductionStack, v: int) -> None:
-    """Commit ``v`` to the solution and drop its closed neighborhood."""
+    """Commit ``v`` to the solution and drop its closed neighborhood.
+
+    Walks the adjacency lists in place: ``v`` and each live neighbor go
+    dead, and the live degrees fall inline, to what removing ``v`` and
+    then its neighbors one by one leaves.
+    """
     stack.push_include(v)
-    nbrs = g.neighbors_live(v)
-    g.remove_vertex(v)
-    for u in nbrs:
-        g.remove_vertex(u)
+    adjacency = g.adjacency
+    alive = g.alive
+    live_degree = g.live_degree
+    alive[v] = False
+    for u in adjacency[v]:
+        if alive[u]:
+            alive[u] = False
+            live_degree[u] -= 1   # v was its live neighbor
+            for x in adjacency[u]:
+                if alive[x]:
+                    live_degree[x] -= 1
 
 
 # ----------------------------------------------------------------------
@@ -270,17 +283,13 @@ def reduce_pendant(g: Graph, stack: ReductionStack) -> int:
 def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
     """Take simplicial vertices (closed neighborhood a clique), to a fixpoint.
 
-    Each fire commits ``v`` and drops its live neighbors in place, as the
-    pendant rule does: the same log entries and live degrees as
-    :func:`_include_vertex`, with no live-list copy. Before that it walks
-    the neighbors' lists once to collect their live neighbors, in the
-    order a union of their live lists gives, and queues those still alive
-    afterwards.
+    Each fire first walks the neighbors' lists to collect their live
+    neighbors, in the order a union of their live lists gives, then
+    commits ``v`` through :func:`_include_vertex` and queues those still
+    alive afterwards.
     """
     adjacency = g.adjacency
     alive = g.alive
-    live_degree = g.live_degree
-    push = stack.entries.append
     is_simplicial = g.is_simplicial
     queue = g.alive_vertices()
     count = 0
@@ -288,23 +297,15 @@ def reduce_isolated(g: Graph, stack: ReductionStack) -> int:
         v = queue.pop()
         if not alive[v] or not is_simplicial(v):
             continue
-        nbrs = [u for u in adjacency[v] if alive[u]]
         ring = set()
-        for u in nbrs:
-            ring.update([x for x in adjacency[u] if alive[x]])
-        push(v)
-        alive[v] = False
-        for u in nbrs:
-            alive[u] = False
-            live_degree[u] -= 1   # v was its live neighbor
-            for x in adjacency[u]:
-                if alive[x]:
-                    live_degree[x] -= 1
+        for u in adjacency[v]:
+            if alive[u]:
+                ring.update([x for x in adjacency[u] if alive[x]])
+        _include_vertex(g, stack, v)
         count += 1
         for x in ring:
             if alive[x]:
                 queue.append(x)
-    stack.offset += count
     return count
 
 

@@ -15,7 +15,6 @@ import pytest
 from fastmis.cut import cut_relative
 from fastmis.local_search import (
     Budget,
-    PerturbationParams,
     greedy_initial,
     local_search,
     perturb,
@@ -109,7 +108,6 @@ def test_criterion_3_local_optimum_soundness():
 def test_criterion_4_invariant_suite():
     rng = random.Random(20260404)
     steps_done = 0
-    params = PerturbationParams(candidate_pool=3, pair_cap=20)
     while steps_done < 100_000:
         n = rng.randrange(2, 26)
         g = er_graph(rng, n, rng.uniform(0.05, 0.5))
@@ -121,9 +119,9 @@ def test_criterion_4_invariant_suite():
         for _ in range(rng.randrange(5, 60)):
             move = rng.randrange(3)
             if move == 0:
-                perturb(sol, params, run_rng)
+                perturb(sol)
             elif move == 1:
-                local_search(sol, params.pair_cap)
+                local_search(sol, 20)
             else:
                 members = [v for v in sol.vertices() if g.alive[v]]
                 if members:

@@ -6,7 +6,6 @@ import pytest
 from fastmis.graph import load
 from fastmis.local_search import (
     Budget,
-    PerturbationParams,
     Solution,
     find_one_two_swap,
     greedy_initial,
@@ -274,7 +273,7 @@ def test_sample_force_count_distribution_smoke():
 def test_perturb_force_isolated_gains():
     g = empty_graph(4)
     sol = build_solution(g, {0})
-    perturb(sol, PerturbationParams(), random.Random(0))
+    perturb(sol)
     assert sol.size == 4  # maximalize soaks up the rest
 
 
@@ -293,7 +292,7 @@ def test_perturb_keeps_invariants():
         g = er_graph(rng, rng.randrange(2, 14), rng.uniform(0.05, 0.7))
         sol = greedy_initial(g, random.Random(rng.randrange(10**6)))
         for _ in range(20):
-            perturb(sol, PerturbationParams(), rng)
+            perturb(sol)
         check_solution_state(sol)
         assert is_independent(g, sol.vertices())
 
@@ -313,7 +312,7 @@ def test_search_keeps_invariants_with_dead_vertices():
         sol = greedy_initial(g, random.Random(rng.randrange(10**6)))
         check_solution_state(sol)
         for _ in range(20):
-            perturb(sol, PerturbationParams(), rng)
+            perturb(sol)
             local_search(sol, pair_cap=None)
             check_solution_state(sol)
             assert len(sol.free) == 0
@@ -336,7 +335,7 @@ def test_ones_bound_is_exact_on_a_solution_built_by_insert():
         sol = Solution(g, random.Random(rng.randrange(10**9)))
         sol.maximalize()
         for _ in range(20):
-            perturb(sol, PerturbationParams(), sol.rng)
+            perturb(sol)
             swaps += local_search(sol, pair_cap=rng.choice((None, 1)))
             for v in sol.vertices():
                 ones = sum(1 for u in g.adjacency[v] if sol.tightness[u] == 1)
@@ -373,7 +372,6 @@ def test_search_matches_method_by_method_reference(pair_cap):
             for v in rng.sample(range(g.n), rng.randrange(g.n // 4 + 1)):
                 g.remove_vertex(v)   # as a cut or a kernel leaves the graph
             g, _ = g.compact()
-        params = PerturbationParams(candidate_pool=1 + trial % 4, pair_cap=pair_cap)
         sol = greedy_initial(g, random.Random(rng.randrange(10**9)))
         ref = ReferenceSolution.adopt(sol)
         assert search_state(sol) == search_state(ref)
@@ -383,8 +381,8 @@ def test_search_matches_method_by_method_reference(pair_cap):
         for iteration in range(30):
             if len(sol.non_solution) == 0:
                 break
-            perturb(sol, params, sol.rng)
-            ref.perturb(params, ref.rng)
+            perturb(sol)
+            ref.perturb()
             got = local_search(sol, pair_cap)
             assert got == ref.local_search(pair_cap), (trial, iteration)
             swaps += got
@@ -404,7 +402,7 @@ def test_draws_wait_for_a_non_empty_range():
     sol = greedy_initial(empty_graph(4), random.Random(3))
     assert len(sol.non_solution) == 0
     state = sol.rng.getstate()
-    perturb(sol, PerturbationParams(), sol.rng)
+    perturb(sol)
     assert sol.maximalize() == 0
     assert sol.rng.getstate() == state
     assert sol.size == 4
@@ -448,8 +446,7 @@ def test_run_zero_budget_returns_input():
     g = path_graph(5)
     sol = build_solution(g, {1, 3})
     log = ConvergenceLog()
-    rng = random.Random(0)
-    best = run_iterated(g, sol, Budget(iterations=0), log, rng)
+    best = run_iterated(g, sol, Budget(iterations=0), log)
     assert best == {1, 3}
     assert log.points == [(0.0, 2)]
 
@@ -459,7 +456,7 @@ def test_run_p5_reaches_oracle():
     rng = random.Random(1)
     sol = greedy_initial(g, rng)
     log = ConvergenceLog()
-    best = run_iterated(g, sol, Budget(iterations=300), log, rng)
+    best = run_iterated(g, sol, Budget(iterations=300), log)
     assert len(best) == 3 == exact_mis(path_graph(5))[0]
     assert is_independent(path_graph(5), best)
 
@@ -469,7 +466,7 @@ def test_run_logs_strictly_increase():
     rng = random.Random(2)
     sol = greedy_initial(g, rng)
     log = ConvergenceLog()
-    best = run_iterated(g, sol, Budget(iterations=200), log, rng)
+    best = run_iterated(g, sol, Budget(iterations=200), log)
     sizes = [s for _, s in log.points]
     assert sizes == sorted(set(sizes))
     assert sizes[-1] == len(best)
@@ -481,7 +478,7 @@ def test_run_deterministic_under_iteration_budget():
         rng = random.Random(seed)
         sol = greedy_initial(g, rng)
         log = ConvergenceLog()
-        best = run_iterated(g, sol, Budget(iterations=150), log, rng)
+        best = run_iterated(g, sol, Budget(iterations=150), log)
         return best, log.points
 
     assert once(7) == once(7)
@@ -492,7 +489,7 @@ def test_run_respects_target_size():
     rng = random.Random(3)
     sol = greedy_initial(g, rng)
     log = ConvergenceLog()
-    best = run_iterated(g, sol, Budget(iterations=10**6, target_size=6), log, rng)
+    best = run_iterated(g, sol, Budget(iterations=10**6, target_size=6), log)
     assert len(best) == 6
 
 
@@ -503,7 +500,7 @@ def test_run_best_recovered_after_decline():
         run_rng = random.Random(rng.randrange(10**6))
         sol = greedy_initial(g, run_rng)
         log = ConvergenceLog()
-        best = run_iterated(g, sol, Budget(iterations=120), log, run_rng)
+        best = run_iterated(g, sol, Budget(iterations=120), log)
         assert len(best) == log.points[-1][1]
         assert is_independent(g, best)
 
@@ -522,7 +519,7 @@ def run_watching_marks(g, seed, iterations):
 
     sol.mark_best = mark_best
     log = ConvergenceLog()
-    best = run_iterated(g, sol, Budget(iterations=iterations), log, rng)
+    best = run_iterated(g, sol, Budget(iterations=iterations), log)
     return best, log, marks[-1]
 
 

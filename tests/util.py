@@ -8,7 +8,7 @@ from itertools import combinations
 
 from fastmis.cli import ParseError, _first_asymmetry, _vertex_line_fault
 from fastmis.graph import Graph, gc_paused, load
-from fastmis.local_search import Solution, sample_force_count
+from fastmis.local_search import CANDIDATE_POOL, Solution, sample_force_count
 from fastmis.reductions import Alternative, Fold, TwinGadget
 
 
@@ -535,12 +535,13 @@ class ReferenceSolution(Solution):
             swaps += 1
             self.maximalize()
 
-    def perturb(self, params, rng: random.Random) -> None:
+    def perturb(self) -> None:
+        rng = self.rng
         for _ in range(sample_force_count(rng)):
             if len(self.non_solution) == 0:
                 break
             pick = None
-            for _ in range(params.candidate_pool):
+            for _ in range(CANDIDATE_POOL):
                 x = self.non_solution.items[rng.randrange(len(self.non_solution))]
                 if pick is None or (self.last_out[x], x) < (self.last_out[pick], pick):
                     pick = x
